@@ -8,15 +8,16 @@
 //! 2. The branchy-vs-predicated trade-off across piece sizes: the branchy
 //!    two-pointer loop mispredicts on uniform-random data, the predicated
 //!    Lomuto loop executes a fixed instruction stream. The head-to-head
-//!    sweep locates the crossover that justifies `CrackKernel::Auto`'s
-//!    piece-length threshold, and the `auto` rows verify the dispatcher
-//!    tracks the better kernel at every size.
+//!    sweep locates the crossover that justifies the piece-length rule
+//!    (`KernelChoice::for_piece_len`), and the `auto` rows verify the rule
+//!    picks the better form at every size.
+//!
+//! Every row runs one of the three generic sum-fused sweeps the cracker
+//! column itself runs (`crack_in_two`, `crack_in_three`), instantiated for
+//! the form and the row-id payload under test.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use holistic_cracking::kernels::{
-    crack_in_three, crack_in_three_pred, crack_in_two, crack_in_two_pred, crack_in_two_with_rowids,
-    crack_in_two_with_rowids_pred, CrackKernel,
-};
+use holistic_cracking::kernels::{crack_in_three, crack_in_two, KernelChoice, TwoWaySums};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,6 +38,14 @@ const PIECE_SIZES: [usize; 7] = [
     1 << 22,
 ];
 
+/// The two-way sweep in the form the production rule picks for `data`.
+fn crack_in_two_auto(data: &mut [i64], pivot: i64) -> TwoWaySums {
+    match KernelChoice::for_piece_len(data.len()) {
+        KernelChoice::Branchy => crack_in_two::<false, _>(data, (), pivot),
+        KernelChoice::Predicated => crack_in_two::<true, _>(data, (), pivot),
+    }
+}
+
 fn bench_crack_in_two_head_to_head(c: &mut Criterion) {
     let mut group = c.benchmark_group("crack_in_two");
     for &n in &PIECE_SIZES {
@@ -46,22 +55,21 @@ fn bench_crack_in_two_head_to_head(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("branchy", n), &n, |b, _| {
             b.iter_batched(
                 || data.clone(),
-                |mut d| black_box(crack_in_two(&mut d, pivot)),
+                |mut d| black_box(crack_in_two::<false, _>(&mut d, (), pivot)),
                 criterion::BatchSize::LargeInput,
             );
         });
         group.bench_with_input(BenchmarkId::new("predicated", n), &n, |b, _| {
             b.iter_batched(
                 || data.clone(),
-                |mut d| black_box(crack_in_two_pred(&mut d, pivot)),
+                |mut d| black_box(crack_in_two::<true, _>(&mut d, (), pivot)),
                 criterion::BatchSize::LargeInput,
             );
         });
-        let auto = CrackKernel::auto();
         group.bench_with_input(BenchmarkId::new("auto", n), &n, |b, _| {
             b.iter_batched(
                 || data.clone(),
-                |mut d| black_box(auto.crack_in_two(&mut d, pivot)),
+                |mut d| black_box(crack_in_two_auto(&mut d, pivot)),
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -79,14 +87,18 @@ fn bench_crack_in_two_with_rowids(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("branchy", n), &n, |b, _| {
             b.iter_batched(
                 || (data.clone(), rowids.clone()),
-                |(mut d, mut r)| black_box(crack_in_two_with_rowids(&mut d, &mut r, pivot)),
+                |(mut d, mut r)| {
+                    black_box(crack_in_two::<false, _>(&mut d, r.as_mut_slice(), pivot))
+                },
                 criterion::BatchSize::LargeInput,
             );
         });
         group.bench_with_input(BenchmarkId::new("predicated", n), &n, |b, _| {
             b.iter_batched(
                 || (data.clone(), rowids.clone()),
-                |(mut d, mut r)| black_box(crack_in_two_with_rowids_pred(&mut d, &mut r, pivot)),
+                |(mut d, mut r)| {
+                    black_box(crack_in_two::<true, _>(&mut d, r.as_mut_slice(), pivot))
+                },
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -98,18 +110,19 @@ fn bench_crack_in_three_and_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("crack_in_three_and_sort");
     for &n in &[100_000usize, 1_000_000] {
         let data = dataset(n);
+        let (lo, hi) = (n as i64 / 3, 2 * n as i64 / 3);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("three_branchy", n), &n, |b, _| {
             b.iter_batched(
                 || data.clone(),
-                |mut d| black_box(crack_in_three(&mut d, n as i64 / 3, 2 * n as i64 / 3)),
+                |mut d| black_box(crack_in_three::<false, _>(&mut d, (), lo, hi)),
                 criterion::BatchSize::LargeInput,
             );
         });
         group.bench_with_input(BenchmarkId::new("three_predicated", n), &n, |b, _| {
             b.iter_batched(
                 || data.clone(),
-                |mut d| black_box(crack_in_three_pred(&mut d, n as i64 / 3, 2 * n as i64 / 3)),
+                |mut d| black_box(crack_in_three::<true, _>(&mut d, (), lo, hi)),
                 criterion::BatchSize::LargeInput,
             );
         });

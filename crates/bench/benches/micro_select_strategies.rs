@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks for a single range select under the different
 //! access paths: full scan (count / sum / full materialization), binary
 //! search on a full sorted index, and a cracked column at different stages
-//! of refinement — the latter once per kernel dispatch policy, so the
-//! branchy and predicated physical forms (and the `auto` dispatcher) can be
-//! compared on the exact same query stream.
+//! of refinement, cracked with the production kernel rule (branchy below
+//! the predication threshold, predicated above).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use holistic_cracking::{CrackKernel, CrackerColumn};
+use holistic_cracking::CrackerColumn;
 use holistic_offline::SortedIndex;
 use holistic_storage::{scan_count, scan_full, scan_sum};
 use rand::rngs::StdRng;
@@ -20,8 +19,8 @@ fn dataset() -> Vec<i64> {
     (0..N).map(|_| rng.gen_range(1..=N as i64)).collect()
 }
 
-fn cracked_column(refinements: u64, kernel: CrackKernel) -> CrackerColumn {
-    let mut cracker = CrackerColumn::from_values(dataset()).with_kernel(kernel);
+fn cracked_column(refinements: u64) -> CrackerColumn {
+    let mut cracker = CrackerColumn::from_values(dataset());
     let mut rng = StdRng::seed_from_u64(4);
     cracker.random_cracks(refinements, &mut rng);
     cracker
@@ -79,29 +78,22 @@ fn bench_selects(c: &mut Criterion) {
         });
     });
 
-    // The cracked select under every kernel policy. The per-query cost is
-    // dominated by the first cracks of large pieces, which is exactly where
-    // the predicated kernels pull ahead.
-    let kernels = [
-        ("cracked_branchy", CrackKernel::Branchy),
-        ("cracked_predicated", CrackKernel::Predicated),
-        ("cracked_auto", CrackKernel::auto()),
-    ];
-    for (name, kernel) in kernels {
-        for &refinements in &[0u64, 64, 1024] {
-            group.bench_with_input(
-                BenchmarkId::new(name, refinements),
-                &refinements,
-                |b, &refinements| {
-                    let mut cracker = cracked_column(refinements, kernel);
-                    let mut rng = StdRng::seed_from_u64(7);
-                    b.iter(|| {
-                        let lo = rng.gen_range(1..=(N as i64 - SELECTIVITY));
-                        black_box(cracker.crack_count(lo, lo + SELECTIVITY))
-                    });
-                },
-            );
-        }
+    // The cracked select after 0, 64 and 1024 idle refinements. The
+    // per-query cost is dominated by the first cracks of large pieces,
+    // which the rule hands to the predicated kernels.
+    for &refinements in &[0u64, 64, 1024] {
+        group.bench_with_input(
+            BenchmarkId::new("cracked", refinements),
+            &refinements,
+            |b, &refinements| {
+                let mut cracker = cracked_column(refinements);
+                let mut rng = StdRng::seed_from_u64(7);
+                b.iter(|| {
+                    let lo = rng.gen_range(1..=(N as i64 - SELECTIVITY));
+                    black_box(cracker.crack_count(lo, lo + SELECTIVITY))
+                });
+            },
+        );
     }
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Kernel configuration.
 
-use holistic_cracking::{CrackKernel, CrackPolicy};
+use holistic_cracking::CrackPolicy;
 
 /// Configuration of the holistic indexing kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,10 +23,6 @@ pub struct HolisticConfig {
     pub keep_rowids: bool,
     /// Cracking policy used by the adaptive and holistic select operators.
     pub crack_policy: CrackPolicy,
-    /// Physical kernel dispatch policy: branchy reference loops, predicated
-    /// branch-free loops, or automatic selection by piece length (the
-    /// default — branchy for cache-resident pieces, predicated above).
-    pub crack_kernel: CrackKernel,
     /// Seed for the kernel's random number generator (auxiliary refinement
     /// actions, stochastic cracking). Fixed by default for reproducibility.
     pub rng_seed: u64,
@@ -69,7 +65,6 @@ impl Default for HolisticConfig {
             epoch_length: 100,
             keep_rowids: false,
             crack_policy: CrackPolicy::Standard,
-            crack_kernel: CrackKernel::default(),
             rng_seed: 0x5EED_CAFE,
             hot_range_buckets: 64,
             paranoia: paranoia_from_env(),
@@ -106,13 +101,6 @@ impl HolisticConfig {
     #[must_use]
     pub fn with_crack_policy(mut self, policy: CrackPolicy) -> Self {
         self.crack_policy = policy;
-        self
-    }
-
-    /// Sets the physical kernel dispatch policy.
-    #[must_use]
-    pub fn with_crack_kernel(mut self, kernel: CrackKernel) -> Self {
-        self.crack_kernel = kernel;
         self
     }
 
@@ -156,17 +144,10 @@ mod tests {
         let c = HolisticConfig::default()
             .with_crack_policy(CrackPolicy::Mdd1r)
             .with_seed(42)
-            .with_rowids(true)
-            .with_crack_kernel(CrackKernel::Predicated);
+            .with_rowids(true);
         assert_eq!(c.crack_policy, CrackPolicy::Mdd1r);
         assert_eq!(c.rng_seed, 42);
         assert!(c.keep_rowids);
-        assert_eq!(c.crack_kernel, CrackKernel::Predicated);
-    }
-
-    #[test]
-    fn default_kernel_policy_is_auto() {
-        assert_eq!(HolisticConfig::default().crack_kernel, CrackKernel::auto());
     }
 
     #[test]

@@ -723,7 +723,7 @@ impl Database {
             // Row-id payloads tie values to positions; multiset salvage
             // cannot restore that association, so rebuild cold instead.
             (Some(shard), Some(old)) if !self.config.keep_rowids => {
-                Self::salvage_rebuild(base, &old, shard, self.config.crack_kernel)
+                Self::salvage_rebuild(base, &old, shard)
             }
             _ => None,
         };
@@ -745,7 +745,6 @@ impl Database {
         base: &Column,
         old: &ConcurrentCrackerColumn,
         faulty: usize,
-        kernel: holistic_cracking::CrackKernel,
     ) -> Option<ConcurrentCrackerColumn> {
         let extent = old.shard_extent().unwrap_or(0);
         let mut shards = old.clone_shards();
@@ -783,7 +782,7 @@ impl Database {
         if values.len() != faulty_len {
             return None;
         }
-        shards[faulty] = CrackerColumn::from_values(values).with_kernel(kernel);
+        shards[faulty] = CrackerColumn::from_values(values);
         Some(ConcurrentCrackerColumn::from_shards(shards, extent))
     }
 
@@ -1106,15 +1105,13 @@ impl Database {
     }
 
     /// Builds a fresh (possibly sharded, per [`HolisticConfig::shard_extent`])
-    /// cracker column over `base` with the configured kernel and row-id
-    /// policy. Every code path that births a cracker — first touch, WAL
+    /// cracker column over `base` with the configured row-id policy. Every code path that births a cracker — first touch, WAL
     /// replay, quarantine rebuild — goes through here so the physical shard
     /// layout is identical no matter which path created the structure.
     fn build_cracker(&self, base: &Column) -> ConcurrentCrackerColumn {
         ConcurrentCrackerColumn::from_column_sharded(
             base,
             self.config.keep_rowids,
-            self.config.crack_kernel,
             self.config.shard_extent,
         )
     }
@@ -2115,37 +2112,25 @@ mod tests {
     }
 
     #[test]
-    fn kernel_policy_is_threaded_into_crackers_and_counted() {
-        use holistic_cracking::CrackKernel;
-        for (kernel, expect_predicated) in [
-            (CrackKernel::Branchy, false),
-            (CrackKernel::Predicated, true),
-        ] {
-            let values = dataset(5000);
-            let config = HolisticConfig::for_testing().with_crack_kernel(kernel);
-            let mut db = Database::new(config, IndexingStrategy::Adaptive);
-            let t = db.create_table("r", vec![("a", values.clone())]).unwrap();
-            let col = db.column_id(t, "a").unwrap();
-            for i in 0..5 {
-                let r = db
-                    .execute(&Query::range(col, i * 100, i * 100 + 80))
-                    .unwrap();
-                assert_eq!(r.count, scan_count(&values, i * 100, i * 100 + 80));
-            }
-            let d = db.metrics().kernel_dispatches();
-            assert!(d.total() >= 5, "{kernel}: at least one dispatch per query");
-            if expect_predicated {
-                assert_eq!(d.branchy, 0, "{kernel}");
-                assert!(d.predicated > 0, "{kernel}");
-            } else {
-                assert_eq!(d.predicated, 0, "{kernel}");
-                assert!(d.branchy > 0, "{kernel}");
-            }
-            // Idle-time refinement also dispatches kernels and is counted.
-            let before = db.metrics().kernel_dispatches().total();
-            db.run_idle(IdleBudget::Actions(8));
-            assert!(db.metrics().kernel_dispatches().total() >= before);
+    fn kernel_dispatches_are_counted_per_piece_length() {
+        let values = dataset(5000);
+        let mut db = Database::new(HolisticConfig::for_testing(), IndexingStrategy::Adaptive);
+        let t = db.create_table("r", vec![("a", values.clone())]).unwrap();
+        let col = db.column_id(t, "a").unwrap();
+        for i in 0..5 {
+            let r = db
+                .execute(&Query::range(col, i * 100, i * 100 + 80))
+                .unwrap();
+            assert_eq!(r.count, scan_count(&values, i * 100, i * 100 + 80));
         }
+        // The cold 5000-value column is cracked predicated; the pieces the
+        // cracks leave behind shrink below the threshold and go branchy.
+        let d = db.metrics().kernel_dispatches();
+        assert!(d.total() >= 5, "at least one dispatch per query");
+        assert!(d.predicated > 0);
+        // Idle-time refinement also dispatches kernels and is counted.
+        db.run_idle(IdleBudget::Actions(8));
+        assert!(db.metrics().kernel_dispatches().total() >= d.total());
     }
 
     #[test]

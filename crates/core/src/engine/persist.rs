@@ -609,7 +609,6 @@ impl Database {
     ) -> EngineResult<(Database, RecoveryOutcome)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| HolisticError::Persist(e.to_string()))?;
-        let kernel = config.crack_kernel;
         let mut db = Database::new(config, strategy);
         let mut outcome = RecoveryOutcome::default();
 
@@ -629,7 +628,7 @@ impl Database {
         let mut loaded_generation = None;
         let mut want_full_index: BTreeSet<ColumnId> = BTreeSet::new();
         for &generation in &generations {
-            match Self::load_snapshot(&dir, generation, kernel, &mut db, &mut outcome) {
+            match Self::load_snapshot(&dir, generation, &mut db, &mut outcome) {
                 Ok((snap_watermark, full_columns)) => {
                     watermark = snap_watermark;
                     loaded_generation = Some(generation);
@@ -762,7 +761,6 @@ impl Database {
     fn load_snapshot(
         dir: &Path,
         generation: u64,
-        kernel: holistic_cracking::CrackKernel,
         db: &mut Database,
         outcome: &mut RecoveryOutcome,
     ) -> Result<(u64, BTreeSet<ColumnId>), PersistError> {
@@ -827,7 +825,7 @@ impl Database {
         match snap.section(SECTION_LEARNED) {
             None => outcome.learned_state_dropped = true,
             Some(learned) => {
-                if let Err(cold) = db.load_learned_section(learned, kernel, outcome) {
+                if let Err(cold) = db.load_learned_section(learned, outcome) {
                     // Structural corruption inside the section: whatever
                     // was not decoded yet comes up cold.
                     let _ = cold;
@@ -841,7 +839,6 @@ impl Database {
     fn load_learned_section(
         &mut self,
         learned: &[u8],
-        kernel: holistic_cracking::CrackKernel,
         outcome: &mut RecoveryOutcome,
     ) -> Result<(), PersistError> {
         let mut d = Decoder::new(learned);
@@ -872,7 +869,7 @@ impl Database {
                 if !decodable {
                     continue;
                 }
-                match decode_cracker_column_with(bytes, kernel, validation) {
+                match decode_cracker_column_with(bytes, validation) {
                     Ok(col) => shards.push(col),
                     Err(_) => decodable = false,
                 }

@@ -111,8 +111,8 @@ pub use stats::{ColumnActivity, KernelStatistics};
 pub use strategy::{IndexingStrategy, StrategyFeatures};
 
 pub use holistic_cracking::{
-    AggregateCacheDelta, CorruptionInjector, CorruptionKind, CrackKernel, CrackPolicy,
-    KernelChoice, KernelDispatches,
+    AggregateCacheDelta, CorruptionInjector, CorruptionKind, CrackPolicy, KernelChoice,
+    KernelDispatches,
 };
 pub use holistic_offline::CostModel;
 pub use holistic_persist::{flip_byte, FaultInjector, PersistError};

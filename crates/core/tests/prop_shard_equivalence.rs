@@ -2,7 +2,7 @@
 //! *observationally identical* to an unsharded one.
 //!
 //! Two engines run the same randomized program side by side — one with
-//! `shard_extent = 0` (the classic single-latch cracker column), one with a
+//! `shard_extent = 0` (one shard behind one latch), one with a
 //! small extent that splits every column into many shards. The program
 //! interleaves every operation the engine exposes:
 //!
@@ -21,9 +21,9 @@
 //! crash.
 //!
 //! This is the differential harness the refactor is judged by: any
-//! divergence between the fan-out/compose path and the single-latch path —
-//! in answers, in cache classification, in persistence, in healing — fails
-//! here first.
+//! divergence between the one-shard and the many-shard layout of the
+//! fan-out/compose path — in answers, in cache classification, in
+//! persistence, in healing — fails here first.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

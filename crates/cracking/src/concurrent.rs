@@ -40,13 +40,13 @@ use std::sync::Arc;
 
 use holistic_sync::{LockLevel, OrderedRwLock};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use holistic_storage::Column;
 
 use crate::corrupt::CorruptionKind;
 use crate::cracker::{CrackerColumn, RangeAggregate};
-use crate::kernels::{CrackKernel, KernelDispatches};
+use crate::kernels::KernelDispatches;
 use crate::piece::Piece;
 use crate::stochastic::{crack_select_batch_with_policy, crack_select_with_policy, CrackPolicy};
 use crate::Value;
@@ -302,7 +302,7 @@ struct ShardBatchPart {
 
 /// A cracker column protected by reader/writer latches, optionally split
 /// into fixed-extent shards (see the module docs). An unsharded column is
-/// exactly one shard; every path then collapses to the single-latch scheme.
+/// exactly one shard that never spills, and runs the same code.
 #[derive(Debug)]
 pub struct ConcurrentCrackerColumn {
     /// Append-only shard list behind the [`LockLevel::Shard`] lock: read to
@@ -367,14 +367,9 @@ impl ConcurrentCrackerColumn {
     /// arrays are identical to the unsharded column's, just partitioned).
     /// `extent == 0` means unsharded.
     #[must_use]
-    pub fn from_column_sharded(
-        column: &Column,
-        with_rowids: bool,
-        kernel: CrackKernel,
-        extent: usize,
-    ) -> Self {
+    pub fn from_column_sharded(column: &Column, with_rowids: bool, extent: usize) -> Self {
         if extent == 0 || extent >= column.len() {
-            let col = CrackerColumn::from_column(column, with_rowids).with_kernel(kernel);
+            let col = CrackerColumn::from_column(column, with_rowids);
             let extent = if extent == 0 { UNSHARDED } else { extent };
             return Self::with_extent(vec![col], extent);
         }
@@ -383,15 +378,14 @@ impl ConcurrentCrackerColumn {
             .chunks(extent)
             .enumerate()
             .map(|(k, chunk)| {
-                let col = if with_rowids {
+                if with_rowids {
                     CrackerColumn::from_values_with_rowid_offset(
                         chunk.to_vec(),
                         (k * extent) as holistic_storage::RowId,
                     )
                 } else {
                     CrackerColumn::from_values(chunk.to_vec())
-                };
-                col.with_kernel(kernel)
+                }
             })
             .collect();
         Self::with_extent(cols, extent)
@@ -411,13 +405,6 @@ impl ConcurrentCrackerColumn {
     /// (one) `Column`.
     fn shard_handles(&self) -> Vec<Arc<Shard>> {
         self.shards.read().iter().map(Arc::clone).collect()
-    }
-
-    /// The only shard, when the column currently has exactly one — the
-    /// single-latch fast paths key off this.
-    fn sole_shard(&self) -> Option<Arc<Shard>> {
-        let list = self.shards.read();
-        (list.len() == 1).then(|| Arc::clone(&list[0]))
     }
 
     /// Number of shards (1 for an unsharded column).
@@ -459,12 +446,8 @@ impl ConcurrentCrackerColumn {
     /// Current average piece length (over all shards' pieces).
     #[must_use]
     pub fn avg_piece_len(&self) -> f64 {
-        let shards = self.shard_handles();
-        if shards.len() == 1 {
-            return shards[0].inner.read().avg_piece_len();
-        }
         let (mut len, mut pieces) = (0usize, 0usize);
-        for s in &shards {
+        for s in &self.shard_handles() {
             let g = s.inner.read();
             len += g.len();
             pieces += g.piece_count();
@@ -527,19 +510,6 @@ impl ConcurrentCrackerColumn {
 
     /// Counts the values in `[lo, hi)`, cracking if necessary.
     pub fn count(&self, lo: Value, hi: Value) -> u64 {
-        if let Some(shard) = self.sole_shard() {
-            {
-                let guard = shard.inner.read();
-                if let Some(range) = guard.select_if_resolved(lo, hi) {
-                    self.stats.shared_selects.fetch_add(1, Ordering::Relaxed);
-                    return (range.end - range.start) as u64;
-                }
-            }
-            let mut guard = shard.inner.write();
-            let range = guard.crack_select(lo, hi);
-            self.stats.exclusive_selects.fetch_add(1, Ordering::Relaxed);
-            return (range.end - range.start) as u64;
-        }
         let (total, cracked) = self.resolve_count(lo, hi);
         self.bump_select(cracked, 1);
         total
@@ -548,20 +518,6 @@ impl ConcurrentCrackerColumn {
     /// Materializes the values in `[lo, hi)`, cracking if necessary. Values
     /// are returned in shard order (row-id order of the original blocks).
     pub fn materialize(&self, lo: Value, hi: Value) -> Vec<Value> {
-        if let Some(shard) = self.sole_shard() {
-            // Fast path under the shared latch.
-            {
-                let guard = shard.inner.read();
-                if let Some(range) = guard.select_if_resolved(lo, hi) {
-                    self.stats.shared_selects.fetch_add(1, Ordering::Relaxed);
-                    return guard.view(range).to_vec();
-                }
-            }
-            let mut guard = shard.inner.write();
-            let range = guard.crack_select(lo, hi);
-            self.stats.exclusive_selects.fetch_add(1, Ordering::Relaxed);
-            return guard.view(range).to_vec();
-        }
         let mut out = Vec::new();
         let mut cracked = false;
         for sh in self.shard_handles() {
@@ -585,28 +541,13 @@ impl ConcurrentCrackerColumn {
         out
     }
 
-    /// Resolves the position range for `[lo, hi)`, cracking if necessary.
+    /// Resolves `[lo, hi)`, cracking if necessary, and returns a range as
+    /// long as the qualifying count.
     ///
-    /// Note the returned range is only meaningful relative to the column
-    /// state at the time of the call; concurrent refinements do not move
-    /// values across resolved boundaries, so counts stay stable, but callers
-    /// that need the values should use [`ConcurrentCrackerColumn::materialize`].
-    /// On a sharded column positions are per-shard, so the returned range is
-    /// count-only: `0..count`.
+    /// Positions are per-shard, so the returned range is count-only:
+    /// `0..count`. Callers that need the values should use
+    /// [`ConcurrentCrackerColumn::materialize`].
     pub fn select_range(&self, lo: Value, hi: Value) -> Range<usize> {
-        if let Some(shard) = self.sole_shard() {
-            {
-                let guard = shard.inner.read();
-                if let Some(range) = guard.select_if_resolved(lo, hi) {
-                    self.stats.shared_selects.fetch_add(1, Ordering::Relaxed);
-                    return range;
-                }
-            }
-            let mut guard = shard.inner.write();
-            let range = guard.crack_select(lo, hi);
-            self.stats.exclusive_selects.fetch_add(1, Ordering::Relaxed);
-            return range;
-        }
         let (total, cracked) = self.resolve_count(lo, hi);
         self.bump_select(cracked, 1);
         0..total as usize
@@ -632,62 +573,10 @@ impl ConcurrentCrackerColumn {
         policy: CrackPolicy,
         rng: &mut R,
     ) -> SelectOutcome {
-        if let Some(shard) = self.sole_shard() {
-            // Fast path: both bounds answerable, answer under the shared latch.
-            {
-                let guard = shard.inner.read();
-                if let Some(range) = guard.select_if_answerable(lo, hi) {
-                    self.stats.shared_selects.fetch_add(1, Ordering::Relaxed);
-                    return self.outcome_for(
-                        &guard,
-                        range,
-                        lo,
-                        hi,
-                        materialize,
-                        KernelDispatches::default(),
-                    );
-                }
-            }
-            let mut guard = shard.inner.write();
-            // Re-check under the exclusive latch: a contender that queued on
-            // the same bounds may have resolved them already — re-running the
-            // policy then would inject redundant auxiliary splits (Mdd1r/DDx)
-            // and over-fragment the index.
-            if let Some(range) = guard.select_if_answerable(lo, hi) {
-                self.stats.shared_selects.fetch_add(1, Ordering::Relaxed);
-                return self.outcome_for(
-                    &guard,
-                    range,
-                    lo,
-                    hi,
-                    materialize,
-                    KernelDispatches::default(),
-                );
-            }
-            let before = guard.kernel_dispatches();
-            let range = crack_select_with_policy(&mut guard, lo, hi, policy, rng);
-            self.stats.exclusive_selects.fetch_add(1, Ordering::Relaxed);
-            let delta = guard.kernel_dispatches().since(before);
-            return self.outcome_for(&guard, range, lo, hi, materialize, delta);
-        }
-        self.select_with_policy_fanout(lo, hi, materialize, policy, rng)
-    }
-
-    /// The multi-shard select: probe every shard read-only, crack the
-    /// pending shards (in parallel for a large cold crack), compose the
-    /// per-shard aggregates and classify the composed answer once.
-    fn select_with_policy_fanout<R: Rng + ?Sized>(
-        &self,
-        lo: Value,
-        hi: Value,
-        materialize: bool,
-        policy: CrackPolicy,
-        rng: &mut R,
-    ) -> SelectOutcome {
         let shards = self.shard_handles();
         let mut parts: Vec<Option<ShardPart>> = Vec::new();
         parts.resize_with(shards.len(), || None);
-        let mut pending: Vec<(usize, Arc<Shard>, u64)> = Vec::new();
+        let mut pending: Vec<(usize, Arc<Shard>)> = Vec::new();
         let mut pending_len = 0usize;
         for (i, sh) in shards.iter().enumerate() {
             let guard = sh.inner.read();
@@ -696,26 +585,22 @@ impl ConcurrentCrackerColumn {
                 None => {
                     pending_len += guard.len();
                     drop(guard);
-                    pending.push((i, Arc::clone(sh), 0));
+                    pending.push((i, Arc::clone(sh)));
                 }
             }
         }
-        // Fork one deterministic seed per pending shard, in shard order, so
-        // the sequential and parallel crack paths consume the caller's rng
-        // identically.
-        for p in &mut pending {
-            p.2 = rng.next_u64();
-        }
         let parallel = pending.len() > 1 && pending_len >= PARALLEL_FANOUT_MIN;
-        let results = crack_pending(pending, parallel, |sh, seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
+        let results = crack_pending(pending, parallel, rng, |sh, rng| {
             let mut guard = sh.inner.write();
-            // Re-check under the exclusive latch (see the single-shard path).
+            // Re-check under the exclusive latch: a contender that queued on
+            // the same bounds may have resolved them already — re-running the
+            // policy then would inject redundant auxiliary splits (Mdd1r/DDx)
+            // and over-fragment the index.
             if let Some(range) = guard.select_if_answerable(lo, hi) {
                 return Self::part_for(&guard, range, lo, hi, materialize);
             }
             let before = guard.kernel_dispatches();
-            let range = crack_select_with_policy(&mut guard, lo, hi, policy, &mut rng);
+            let range = crack_select_with_policy(&mut guard, lo, hi, policy, rng);
             let delta = guard.kernel_dispatches().since(before);
             let mut part = Self::part_for(&guard, range, lo, hi, materialize);
             part.dispatches = delta;
@@ -803,19 +688,6 @@ impl ConcurrentCrackerColumn {
         hi: Value,
         materialize: bool,
     ) -> Option<SelectOutcome> {
-        if let Some(shard) = self.sole_shard() {
-            let guard = shard.inner.read();
-            let range = guard.select_if_answerable(lo, hi)?;
-            self.stats.shared_selects.fetch_add(1, Ordering::Relaxed);
-            return Some(self.outcome_for(
-                &guard,
-                range,
-                lo,
-                hi,
-                materialize,
-                KernelDispatches::default(),
-            ));
-        }
         // Every shard must be answerable read-only, or the whole select
         // defers (no partial cracking on the degraded path).
         let shards = self.shard_handles();
@@ -848,92 +720,10 @@ impl ConcurrentCrackerColumn {
         policy: CrackPolicy,
         rng: &mut R,
     ) -> BatchSelectOutcome {
-        if let Some(shard) = self.sole_shard() {
-            return self.select_batch_single(&shard, queries, policy, rng);
-        }
-        self.select_batch_fanout(queries, policy, rng)
-    }
-
-    /// The single-shard (unsharded) batch path: one latch for the batch.
-    fn select_batch_single<R: Rng + ?Sized>(
-        &self,
-        shard: &Shard,
-        queries: &[(Value, Value, bool)],
-        policy: CrackPolicy,
-        rng: &mut R,
-    ) -> BatchSelectOutcome {
-        // Fast path: the entire batch is answerable under the shared latch
-        // (bounds resolved, or binary-searchable in prefix-seeded sorted
-        // pieces).
-        {
-            let guard = shard.inner.read();
-            if let Some(outcome) = self.batch_outcome_if_resolved(&guard, queries) {
-                self.stats
-                    .shared_selects
-                    .fetch_add(queries.len() as u64, Ordering::Relaxed);
-                return outcome;
-            }
-        }
-        let mut guard = shard.inner.write();
-        // Re-check under the exclusive latch: a queued contender may have
-        // resolved the same bounds already (see `select_with_policy`).
-        if let Some(outcome) = self.batch_outcome_if_resolved(&guard, queries) {
-            self.stats
-                .shared_selects
-                .fetch_add(queries.len() as u64, Ordering::Relaxed);
-            return outcome;
-        }
-        let before = guard.kernel_dispatches();
-        let bounds: Vec<(Value, Value)> = queries.iter().map(|&(lo, hi, _)| (lo, hi)).collect();
-        let ranges = crack_select_batch_with_policy(&mut guard, &bounds, policy, rng);
-        self.stats
-            .exclusive_selects
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let dispatches = guard.kernel_dispatches().since(before);
-        let piece_count = guard.piece_count();
-        let avg_piece_len = guard.avg_piece_len();
-        // Release the exclusive latch before the answer phase: the
-        // per-query aggregates now compose from cached piece sums (pure
-        // metadata), but materialized copies and scan fallbacks for
-        // uncached pieces are still reads, and none of it needs exclusivity.
-        // Dropping to the shared latch is safe because cracking only ever
-        // *adds* boundaries — a refinement racing in between cannot move
-        // values across the resolved boundaries these ranges end on, so
-        // every range's count, sum and value multiset stay stable.
-        drop(guard);
-        let guard = shard.inner.read();
-        let mut cache = AggregateCacheDelta::default();
-        let answers = ranges
-            .into_iter()
-            .zip(queries)
-            .map(|(range, &(lo, hi, materialize))| {
-                Self::answer_for(&guard, range, lo, hi, materialize, &mut cache)
-            })
-            .collect();
-        self.stats.record_cache(cache);
-        BatchSelectOutcome {
-            answers,
-            piece_count,
-            avg_piece_len,
-            dispatches,
-            cache,
-        }
-    }
-
-    /// The multi-shard batch path: probe every shard for the whole batch,
-    /// crack the pending shards around all of the batch's bounds (in
-    /// parallel for a large cold batch), then compose each query's answer
-    /// across shards and classify it against the cache exactly once.
-    fn select_batch_fanout<R: Rng + ?Sized>(
-        &self,
-        queries: &[(Value, Value, bool)],
-        policy: CrackPolicy,
-        rng: &mut R,
-    ) -> BatchSelectOutcome {
         let shards = self.shard_handles();
         let mut parts: Vec<Option<ShardBatchPart>> = Vec::new();
         parts.resize_with(shards.len(), || None);
-        let mut pending: Vec<(usize, Arc<Shard>, u64)> = Vec::new();
+        let mut pending: Vec<(usize, Arc<Shard>)> = Vec::new();
         let mut pending_len = 0usize;
         for (i, sh) in shards.iter().enumerate() {
             let guard = sh.inner.read();
@@ -942,36 +732,38 @@ impl ConcurrentCrackerColumn {
                 None => {
                     pending_len += guard.len();
                     drop(guard);
-                    pending.push((i, Arc::clone(sh), 0));
+                    pending.push((i, Arc::clone(sh)));
                 }
             }
         }
-        for p in &mut pending {
-            p.2 = rng.next_u64();
-        }
         let parallel = pending.len() > 1 && pending_len >= PARALLEL_FANOUT_MIN;
-        let results = crack_pending(pending, parallel, |sh, seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
+        let results = crack_pending(pending, parallel, rng, |sh, rng| {
             let mut guard = sh.inner.write();
+            // Re-check under the exclusive latch: a queued contender may have
+            // resolved the same bounds already (see `select_with_policy`).
             if let Some(part) = Self::batch_part_if_resolved(&guard, queries) {
                 return part;
             }
             let before = guard.kernel_dispatches();
             let bounds: Vec<(Value, Value)> = queries.iter().map(|&(lo, hi, _)| (lo, hi)).collect();
-            let ranges = crack_select_batch_with_policy(&mut guard, &bounds, policy, &mut rng);
+            let ranges = crack_select_batch_with_policy(&mut guard, &bounds, policy, rng);
             let dispatches = guard.kernel_dispatches().since(before);
-            let answers = ranges
-                .into_iter()
-                .zip(queries)
-                .map(|(range, &(lo, hi, materialize))| {
-                    let agg = guard.aggregate_range(range.clone(), lo, hi);
-                    (agg, materialize.then(|| guard.view(range).to_vec()))
-                })
-                .collect();
+            let (piece_count, len) = (guard.piece_count(), guard.len());
+            // Release the exclusive latch before the answer phase: the
+            // per-query aggregates now compose from cached piece sums (pure
+            // metadata), but materialized copies and scan fallbacks for
+            // uncached pieces are still reads, and none of it needs
+            // exclusivity. Dropping to the shared latch is safe because
+            // cracking only ever *adds* boundaries — a refinement racing in
+            // between cannot move values across the resolved boundaries
+            // these ranges end on, so every range's count, sum and value
+            // multiset stay stable.
+            drop(guard);
+            let guard = sh.inner.read();
             ShardBatchPart {
-                answers,
-                piece_count: guard.piece_count(),
-                len: guard.len(),
+                answers: Self::batch_answers(&guard, ranges, queries),
+                piece_count,
+                len,
                 dispatches,
                 cracked: true,
             }
@@ -1037,16 +829,8 @@ impl ConcurrentCrackerColumn {
             .iter()
             .map(|&(lo, hi, _)| column.select_if_answerable(lo, hi))
             .collect::<Option<Vec<Range<usize>>>>()?;
-        let answers = ranges
-            .into_iter()
-            .zip(queries)
-            .map(|(range, &(lo, hi, materialize))| {
-                let agg = column.aggregate_range(range.clone(), lo, hi);
-                (agg, materialize.then(|| column.view(range).to_vec()))
-            })
-            .collect();
         Some(ShardBatchPart {
-            answers,
+            answers: Self::batch_answers(column, ranges, queries),
             piece_count: column.piece_count(),
             len: column.len(),
             dispatches: KernelDispatches::default(),
@@ -1054,108 +838,29 @@ impl ConcurrentCrackerColumn {
         })
     }
 
-    /// The batch outcome if every query is already answerable read-only
-    /// (bounds resolved or binary-searchable in prefix-seeded sorted
-    /// pieces).
-    ///
-    /// Answerability is checked for the *whole* batch (cheap boundary
-    /// lookups) before any answer is computed, so a batch with one
-    /// unresolved query does not scan the other queries' result ranges only
-    /// to discard them.
-    fn batch_outcome_if_resolved(
-        &self,
+    /// One shard's per-query aggregates (and materialized values) over the
+    /// queries' resolved position ranges.
+    fn batch_answers(
         column: &CrackerColumn,
+        ranges: Vec<Range<usize>>,
         queries: &[(Value, Value, bool)],
-    ) -> Option<BatchSelectOutcome> {
-        let ranges = queries
-            .iter()
-            .map(|&(lo, hi, _)| column.select_if_answerable(lo, hi))
-            .collect::<Option<Vec<Range<usize>>>>()?;
-        let mut cache = AggregateCacheDelta::default();
-        let answers = ranges
+    ) -> Vec<(RangeAggregate, Option<Vec<Value>>)> {
+        ranges
             .into_iter()
             .zip(queries)
             .map(|(range, &(lo, hi, materialize))| {
-                Self::answer_for(column, range, lo, hi, materialize, &mut cache)
+                let agg = column.aggregate_range(range.clone(), lo, hi);
+                (agg, materialize.then(|| column.view(range).to_vec()))
             })
-            .collect();
-        self.stats.record_cache(cache);
-        Some(BatchSelectOutcome {
-            answers,
-            piece_count: column.piece_count(),
-            avg_piece_len: column.avg_piece_len(),
-            dispatches: KernelDispatches::default(),
-            cache,
-        })
-    }
-
-    /// One query's answer over its resolved position range. The count is
-    /// implicit in the range; the sum is composed from the per-piece
-    /// aggregate cache ([`CrackerColumn::aggregate_range`]), which falls
-    /// back to the storage layer's chunked masked-sum kernel only for
-    /// pieces without a cached sum. A fully cached (or empty) range is
-    /// answered with **zero** data-array reads; the classification is
-    /// accumulated into `cache`.
-    fn answer_for(
-        column: &CrackerColumn,
-        range: Range<usize>,
-        lo: Value,
-        hi: Value,
-        materialize: bool,
-        cache: &mut AggregateCacheDelta,
-    ) -> QueryAnswer {
-        let agg = column.aggregate_range(range.clone(), lo, hi);
-        cache.record(&agg);
-        QueryAnswer {
-            count: agg.count,
-            sum: agg.sum,
-            values: materialize.then(|| column.view(range).to_vec()),
-        }
-    }
-
-    fn outcome_for(
-        &self,
-        column: &CrackerColumn,
-        range: Range<usize>,
-        lo: Value,
-        hi: Value,
-        materialize: bool,
-        dispatches: KernelDispatches,
-    ) -> SelectOutcome {
-        let mut cache = AggregateCacheDelta::default();
-        let answer = Self::answer_for(column, range, lo, hi, materialize, &mut cache);
-        self.stats.record_cache(cache);
-        SelectOutcome {
-            count: answer.count,
-            sum: answer.sum,
-            values: answer.values,
-            piece_count: column.piece_count(),
-            avg_piece_len: column.avg_piece_len(),
-            dispatches,
-            cache,
-        }
+            .collect()
     }
 
     /// Applies one auxiliary random refinement action under the exclusive
     /// latch of one (randomly chosen) shard, reporting the action's effect
     /// and dispatch delta.
     pub fn refine<R: Rng + ?Sized>(&self, rng: &mut R) -> RefineOutcome {
-        if let Some(shard) = self.sole_shard() {
-            let mut guard = shard.inner.write();
-            let before = guard.kernel_dispatches();
-            let split = guard.random_crack(rng);
-            if split {
-                self.stats.refinements.fetch_add(1, Ordering::Relaxed);
-            }
-            return RefineOutcome {
-                split,
-                piece_count: guard.piece_count(),
-                avg_piece_len: guard.avg_piece_len(),
-                dispatches: guard.kernel_dispatches().since(before),
-            };
-        }
         let shards = self.shard_handles();
-        let idx = rng.gen_range(0..shards.len());
+        let idx = pick_shard(shards.len(), rng);
         let (split, dispatches) = {
             let mut guard = shards[idx].inner.write();
             let before = guard.kernel_dispatches();
@@ -1189,24 +894,10 @@ impl ConcurrentCrackerColumn {
         hi: Value,
         rng: &mut R,
     ) -> RefineOutcome {
-        if let Some(shard) = self.sole_shard() {
-            let mut guard = shard.inner.write();
-            let before = guard.kernel_dispatches();
-            let split = guard.random_crack_in_range(lo, hi, rng);
-            if split {
-                self.stats.refinements.fetch_add(1, Ordering::Relaxed);
-            }
-            return RefineOutcome {
-                split,
-                piece_count: guard.piece_count(),
-                avg_piece_len: guard.avg_piece_len(),
-                dispatches: guard.kernel_dispatches().since(before),
-            };
-        }
         // Every shard covers the full value domain (sharding is by row id),
         // so a hot value range is refined on a randomly chosen shard.
         let shards = self.shard_handles();
-        let idx = rng.gen_range(0..shards.len());
+        let idx = pick_shard(shards.len(), rng);
         let (split, dispatches) = {
             let mut guard = shards[idx].inner.write();
             let before = guard.kernel_dispatches();
@@ -1235,27 +926,6 @@ impl ConcurrentCrackerColumn {
         per_range: u64,
         rng: &mut R,
     ) -> BatchRefineOutcome {
-        if let Some(shard) = self.sole_shard() {
-            let mut guard = shard.inner.write();
-            let before = guard.kernel_dispatches();
-            let mut splits = 0u64;
-            for &(lo, hi) in ranges {
-                for _ in 0..per_range {
-                    if guard.random_crack_in_range(lo, hi, rng) {
-                        splits += 1;
-                    }
-                }
-            }
-            if splits > 0 {
-                self.stats.refinements.fetch_add(splits, Ordering::Relaxed);
-            }
-            return BatchRefineOutcome {
-                splits,
-                piece_count: guard.piece_count(),
-                avg_piece_len: guard.avg_piece_len(),
-                dispatches: guard.kernel_dispatches().since(before),
-            };
-        }
         // Draw each action's shard assignment up front (deterministic rng
         // order), then take each shard's latch once for its share of the
         // batch — one latch round trip per *shard*, not per action.
@@ -1263,7 +933,7 @@ impl ConcurrentCrackerColumn {
         let mut per_shard: Vec<Vec<(Value, Value)>> = vec![Vec::new(); shards.len()];
         for &(lo, hi) in ranges {
             for _ in 0..per_range {
-                per_shard[rng.gen_range(0..shards.len())].push((lo, hi));
+                per_shard[pick_shard(shards.len(), rng)].push((lo, hi));
             }
         }
         let mut splits = 0u64;
@@ -1342,14 +1012,9 @@ impl ConcurrentCrackerColumn {
     /// under the exclusive latch — the engine's durable-update path applies
     /// WAL-logged inserts through this.
     pub fn insert(&self, v: Value, rowid: holistic_storage::RowId) {
-        if self.extent == UNSHARDED {
-            if let Some(shard) = self.shards.read().first().map(Arc::clone) {
-                shard.inner.write().ripple_insert(v, rowid);
-            }
-            return;
-        }
-        // Sharded: inserts land in the last shard; when it reaches the
-        // extent a fresh empty shard is spilled (the only shard-list write).
+        // Inserts land in the last shard; when it reaches the extent a
+        // fresh empty shard is spilled (the only shard-list write). An
+        // unsharded column's extent is never reached.
         let mut list = self.shards.write();
         Self::spill_if_full(&mut list, self.extent);
         if let Some(target) = list.last().map(Arc::clone) {
@@ -1357,15 +1022,15 @@ impl ConcurrentCrackerColumn {
         }
     }
 
-    /// Spills a fresh empty shard (matching the last shard's kernel and
-    /// row-id keeping) when the last shard has reached the extent.
+    /// Spills a fresh empty shard (matching the last shard's row-id
+    /// keeping) when the last shard has reached the extent.
     fn spill_if_full(list: &mut Vec<Arc<Shard>>, extent: usize) {
         let Some(last) = list.last().map(Arc::clone) else {
             return;
         };
-        let (len, keeps_rowids, kernel) = {
+        let (len, keeps_rowids) = {
             let g = last.inner.read();
-            (g.len(), g.rowids().is_some(), g.kernel())
+            (g.len(), g.rowids().is_some())
         };
         if len >= extent {
             let col = if keeps_rowids {
@@ -1373,23 +1038,18 @@ impl ConcurrentCrackerColumn {
             } else {
                 CrackerColumn::from_values(vec![])
             };
-            list.push(Arc::new(Shard::new(col.with_kernel(kernel))));
+            list.push(Arc::new(Shard::new(col)));
         }
     }
 
-    /// Batched ripple insert: on an unsharded column a single acquisition
-    /// of the exclusive latch and one sweep over the piece table for the
-    /// whole batch (see [`CrackerColumn::ripple_insert_batch`]); on a
-    /// sharded column the batch is split into sub-batches honoring the last
-    /// shard's remaining extent, spilling fresh shards as needed. The
-    /// engine's WAL replay applies runs of insert records through this.
+    /// Batched ripple insert: the batch is split into sub-batches honoring
+    /// the last shard's remaining extent, spilling fresh shards as needed,
+    /// and each sub-batch takes its shard's exclusive latch once for one
+    /// sweep over the piece table (see
+    /// [`CrackerColumn::ripple_insert_batch`]) — on an unsharded column,
+    /// one sub-batch for the whole batch. The engine's WAL replay applies
+    /// runs of insert records through this.
     pub fn insert_batch(&self, batch: &[(Value, holistic_storage::RowId)]) {
-        if self.extent == UNSHARDED {
-            if let Some(shard) = self.shards.read().first().map(Arc::clone) {
-                shard.inner.write().ripple_insert_batch(batch);
-            }
-            return;
-        }
         let mut list = self.shards.write();
         let mut rest = batch;
         while !rest.is_empty() {
@@ -1465,13 +1125,9 @@ impl ConcurrentCrackerColumn {
     /// this is exactly the piece table.
     #[must_use]
     pub fn pieces_snapshot(&self) -> Vec<Piece> {
-        let shards = self.shard_handles();
-        if shards.len() == 1 {
-            return shards[0].inner.read().pieces().to_vec();
-        }
         let mut out = Vec::new();
         let mut base = 0usize;
-        for sh in &shards {
+        for sh in &self.shard_handles() {
             let guard = sh.inner.read();
             for p in guard.pieces() {
                 let mut p = p.clone();
@@ -1576,48 +1232,56 @@ impl ConcurrentCrackerColumn {
     }
 }
 
-/// Runs the pending-shard crack closure over every pending shard: on the
-/// calling thread when the work is small, or fanned out one-shard-per-worker
-/// for a large cold crack. Worker threads start with an empty held-lock
-/// stack, so each acquisition of a shard's `Column`-level latch is the
-/// thread's deepest lock — the machine-checked order holds by construction,
-/// and no thread ever holds two shard latches.
-fn crack_pending<T, F>(
-    pending: Vec<(usize, Arc<Shard>, u64)>,
+/// Runs the crack closure over every pending shard, handing each shard an
+/// rng. A lone pending shard cracks on the calling thread with the
+/// caller's own rng, so a one-shard column draws exactly the stream a
+/// plain [`CrackerColumn`] would. Several pending shards each get one seed
+/// forked from the caller's rng in shard order, so the sequential and
+/// parallel paths consume the caller's rng identically; the cracks run on
+/// the calling thread when the work is small, or fanned out
+/// one-shard-per-worker for a large cold crack (`parallel`). Worker threads
+/// start with an empty held-lock stack, so each acquisition of a shard's
+/// `Column`-level latch is the thread's deepest lock — the machine-checked
+/// order holds by construction, and no thread ever holds two shard latches.
+fn crack_pending<R, T, F>(
+    pending: Vec<(usize, Arc<Shard>)>,
     parallel: bool,
+    rng: &mut R,
     f: F,
 ) -> Vec<(usize, T)>
 where
+    R: Rng + ?Sized,
     T: Send,
-    F: Fn(&Shard, u64) -> T + Sync,
+    F: Fn(&Shard, &mut dyn RngCore) -> T + Sync,
 {
+    if let [(i, sh)] = pending.as_slice() {
+        // `&mut R` is a sized `RngCore` even when `R` is not, so it can be
+        // handed over as `&mut dyn RngCore`.
+        return vec![(*i, f(sh, &mut &mut *rng))];
+    }
+    let seeded: Vec<(usize, Arc<Shard>, u64)> = pending
+        .into_iter()
+        .map(|(i, sh)| (i, sh, rng.next_u64()))
+        .collect();
+    let crack =
+        |(i, sh, seed): &(usize, Arc<Shard>, u64)| (*i, f(sh, &mut StdRng::seed_from_u64(*seed)));
     let workers = if parallel {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(pending.len())
+            .min(seeded.len())
     } else {
         1
     };
     if workers < 2 {
-        return pending
-            .into_iter()
-            .map(|(i, sh, seed)| (i, f(&sh, seed)))
-            .collect();
+        return seeded.iter().map(crack).collect();
     }
-    let chunk = pending.len().div_ceil(workers);
+    let chunk = seeded.len().div_ceil(workers);
     std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = pending
+        let crack = &crack;
+        let handles: Vec<_> = seeded
             .chunks(chunk)
-            .map(|slice| {
-                s.spawn(move || {
-                    slice
-                        .iter()
-                        .map(|(i, sh, seed)| (*i, f(sh, *seed)))
-                        .collect::<Vec<_>>()
-                })
-            })
+            .map(|slice| s.spawn(move || slice.iter().map(crack).collect::<Vec<_>>()))
             .collect();
         handles
             .into_iter()
@@ -1629,6 +1293,16 @@ where
             })
             .collect()
     })
+}
+
+/// The shard an auxiliary action lands on: uniform over `shards`, drawing
+/// nothing from `rng` when there is only one to pick.
+fn pick_shard<R: Rng + ?Sized>(shards: usize, rng: &mut R) -> usize {
+    if shards > 1 {
+        rng.gen_range(0..shards)
+    } else {
+        0
+    }
 }
 
 /// Component-wise accumulation of per-shard range aggregates. Summing the
@@ -2260,6 +1934,109 @@ mod tests {
         assert_eq!(rebuilt.pieces_snapshot(), c.pieces_snapshot());
         assert_eq!(rebuilt.count(100, 700), scan_count(&values, 100, 700));
         assert!(rebuilt.validate());
+    }
+
+    /// `LatchStats` as a flat tuple: shared, exclusive, refinements, hits,
+    /// prefix, partials, misses.
+    type Latches = (u64, u64, u64, u64, u64, u64, u64);
+    /// `AggregateCacheDelta` as a flat tuple: hits, prefix, partials,
+    /// misses, scanned values.
+    type Cache = (u64, u64, u64, u64, u64);
+
+    /// Runs the fixed operation sequence of
+    /// `latch_semantics_are_pinned_for_one_and_many_shards`, returning the
+    /// latch counters after every call plus each call's cache delta.
+    fn latch_trace(c: &ConcurrentCrackerColumn) -> Vec<(Latches, Option<Cache>)> {
+        let mut rng = StdRng::seed_from_u64(97);
+        let mut trace = Vec::new();
+        let mut step = |cache: Option<AggregateCacheDelta>| {
+            let s = c.latch_stats();
+            trace.push((
+                (
+                    s.shared_selects,
+                    s.exclusive_selects,
+                    s.refinements,
+                    s.aggregate_hits,
+                    s.aggregate_prefix,
+                    s.aggregate_partials,
+                    s.aggregate_misses,
+                ),
+                cache.map(|d| (d.hits, d.prefix, d.partials, d.misses, d.scanned_values)),
+            ));
+        };
+        let standard = CrackPolicy::Standard;
+        assert_eq!(c.count(100, 400), 300);
+        step(None);
+        assert_eq!(c.materialize(1000, 1300).len(), 300);
+        step(None);
+        let out = c.select_with_policy(2000, 2600, true, standard, &mut rng);
+        assert_eq!(out.values.map(|v| v.len()), Some(600));
+        step(Some(out.cache));
+        let out = c.select_with_policy(2500, 3100, false, CrackPolicy::ddr(), &mut rng);
+        assert_eq!(out.count, 600);
+        step(Some(out.cache));
+        let out = c.select_with_policy(2000, 2600, false, standard, &mut rng);
+        assert_eq!(out.count, 600);
+        step(Some(out.cache));
+        assert!(c.try_select_readonly(3500, 3600, false).is_none());
+        step(None);
+        let out = c.try_select_readonly(100, 400, true).expect("resolved");
+        assert_eq!(out.count, 300);
+        step(Some(out.cache));
+        let batch = [(100, 400, false), (3300, 3700, true), (500, 400, false)];
+        let out = c.select_batch_with_policy(&batch, standard, &mut rng);
+        assert_eq!(out.answers[1].count, 400);
+        step(Some(out.cache));
+        let out = c.select_batch_with_policy(&batch, standard, &mut rng);
+        step(Some(out.cache));
+        let _ = c.refine(&mut rng);
+        step(None);
+        let _ = c.refine_in_range(1500, 1800, &mut rng);
+        step(None);
+        let _ = c.refine_in_ranges(&[(200, 300), (2200, 2300)], 2, &mut rng);
+        step(None);
+        assert_eq!(c.seed_prefix_sums(), 0);
+        step(None);
+        c.insert(5000, 0);
+        assert_eq!(c.count(4999, 5001), 1);
+        step(None);
+        assert!(c.delete(5000));
+        assert_eq!(c.count(4999, 5001), 0);
+        step(None);
+        assert!(c.validate());
+        trace
+    }
+
+    #[test]
+    fn latch_semantics_are_pinned_for_one_and_many_shards() {
+        let unsharded = ConcurrentCrackerColumn::from_values(data(4000));
+        let sharded = ConcurrentCrackerColumn::from_values_sharded(data(4000), 1000);
+        assert_eq!(sharded.shard_count(), 4);
+        let hit = Some((1, 0, 0, 0, 0));
+        let three_hits = Some((3, 0, 0, 0, 0));
+        let mut expected: Vec<(Latches, Option<Cache>)> = vec![
+            ((0, 1, 0, 0, 0, 0, 0), None),        // count: cold, exclusive
+            ((0, 2, 0, 0, 0, 0, 0), None),        // materialize: cold
+            ((0, 3, 0, 1, 0, 0, 0), hit),         // select, materialized
+            ((0, 4, 0, 2, 0, 0, 0), hit),         // select under DDR
+            ((1, 4, 0, 3, 0, 0, 0), hit),         // repeat on resolved bounds
+            ((1, 4, 0, 3, 0, 0, 0), None),        // read-only probe defers
+            ((2, 4, 0, 4, 0, 0, 0), hit),         // read-only answer
+            ((2, 7, 0, 7, 0, 0, 0), three_hits),  // cold batch
+            ((5, 7, 0, 10, 0, 0, 0), three_hits), // resolved batch
+            ((5, 7, 1, 10, 0, 0, 0), None),       // refine
+            ((5, 7, 2, 10, 0, 0, 0), None),       // refine_in_range
+            ((5, 7, 6, 10, 0, 0, 0), None),       // refine_in_ranges
+            ((5, 7, 6, 10, 0, 0, 0), None),       // seed_prefix_sums: no-op
+            ((5, 8, 6, 10, 0, 0, 0), None),       // insert, then a cold count
+            ((6, 8, 6, 10, 0, 0, 0), None),       // delete, then a resolved count
+        ];
+        assert_eq!(latch_trace(&unsharded), expected);
+        // The sharded insert spills a fifth shard holding only the new
+        // value; deleting it leaves that shard empty, and an empty shard
+        // never resolves a bound, so the final count cracks it.
+        *expected.last_mut().unwrap() = ((5, 9, 6, 10, 0, 0, 0), None);
+        assert_eq!(latch_trace(&sharded), expected);
     }
 
     #[test]

@@ -9,9 +9,33 @@ use rand::Rng;
 use holistic_storage::{Column, PrefixSums};
 
 use crate::index::PieceIndex;
-use crate::kernels::{CrackKernel, KernelChoice, KernelDispatches};
+use crate::kernels::{self, KernelChoice, KernelDispatches};
 use crate::piece::Piece;
 use crate::{RowId, Value};
+
+/// Runs one kernel sweep over the column positions `$range`: records the
+/// dispatch of the form [`KernelChoice::for_piece_len`] picks for the
+/// range, then calls the sweep monomorphized for that form and for the
+/// column's row-id payload. This is the one place a runtime choice becomes
+/// the sweep's compile-time parameters.
+macro_rules! sweep {
+    ($col:ident, $range:expr, $kernel:ident($($arg:expr),+)) => {{
+        let range: Range<usize> = $range;
+        let choice = KernelChoice::for_piece_len(range.len());
+        $col.dispatches.record(choice);
+        let data = &mut $col.data[range.clone()];
+        match (&mut $col.rowids, choice) {
+            (None, KernelChoice::Branchy) => kernels::$kernel::<false, _>(data, (), $($arg),+),
+            (None, KernelChoice::Predicated) => kernels::$kernel::<true, _>(data, (), $($arg),+),
+            (Some(ids), KernelChoice::Branchy) => {
+                kernels::$kernel::<false, _>(data, &mut ids[range], $($arg),+)
+            }
+            (Some(ids), KernelChoice::Predicated) => {
+                kernels::$kernel::<true, _>(data, &mut ids[range], $($arg),+)
+            }
+        }
+    }};
+}
 
 /// The sorted, deduplicated pivot set of a batch of range bounds: both
 /// bounds of every non-degenerate `[lo, hi)` pair, each value once. Shared
@@ -67,7 +91,6 @@ pub struct CrackerColumn {
     rowids: Option<Vec<RowId>>,
     index: PieceIndex,
     cracks_performed: u64,
-    kernel: CrackKernel,
     dispatches: KernelDispatches,
 }
 
@@ -81,7 +104,6 @@ impl CrackerColumn {
             rowids: None,
             index: PieceIndex::new(len),
             cracks_performed: 0,
-            kernel: CrackKernel::default(),
             dispatches: KernelDispatches::default(),
         }
     }
@@ -96,7 +118,6 @@ impl CrackerColumn {
             data: values,
             index: PieceIndex::new(len),
             cracks_performed: 0,
-            kernel: CrackKernel::default(),
             dispatches: KernelDispatches::default(),
         }
     }
@@ -114,27 +135,8 @@ impl CrackerColumn {
             data: values,
             index: PieceIndex::new(len),
             cracks_performed: 0,
-            kernel: CrackKernel::default(),
             dispatches: KernelDispatches::default(),
         }
-    }
-
-    /// Sets the kernel dispatch policy (builder style).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: CrackKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Sets the kernel dispatch policy.
-    pub fn set_kernel(&mut self, kernel: CrackKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The active kernel dispatch policy.
-    #[must_use]
-    pub fn kernel(&self) -> CrackKernel {
-        self.kernel
     }
 
     /// Running totals of kernel dispatches, split by physical form.
@@ -164,7 +166,6 @@ impl CrackerColumn {
         data: Vec<Value>,
         rowids: Option<Vec<RowId>>,
         index: PieceIndex,
-        kernel: CrackKernel,
         cracks_performed: u64,
     ) -> Option<Self> {
         if index.len() != data.len() {
@@ -175,7 +176,6 @@ impl CrackerColumn {
             rowids,
             index,
             cracks_performed,
-            kernel,
             dispatches: KernelDispatches::default(),
         };
         col.validate().then_some(col)
@@ -320,31 +320,10 @@ impl CrackerColumn {
             );
             return pos;
         }
-        let choice = self.kernel.choose(p.len());
-        self.dispatches.record(choice);
         // Sum-fused kernels: the pass that partitions the piece also
         // produces both sides' sums, which seed the aggregate cache for
         // free (the data is streaming through cache anyway).
-        let pass = match (&mut self.rowids, choice) {
-            (Some(rowids), KernelChoice::Branchy) => crate::kernels::crack_in_two_with_rowids_sums(
-                &mut self.data[p.start..p.end],
-                &mut rowids[p.start..p.end],
-                v,
-            ),
-            (Some(rowids), KernelChoice::Predicated) => {
-                crate::kernels::crack_in_two_with_rowids_sums_pred(
-                    &mut self.data[p.start..p.end],
-                    &mut rowids[p.start..p.end],
-                    v,
-                )
-            }
-            (None, KernelChoice::Branchy) => {
-                crate::kernels::crack_in_two_sums(&mut self.data[p.start..p.end], v)
-            }
-            (None, KernelChoice::Predicated) => {
-                crate::kernels::crack_in_two_sums_pred(&mut self.data[p.start..p.end], v)
-            }
-        };
+        let pass = sweep!(self, p.start..p.end, crack_in_two(v));
         let pos = p.start + pass.split;
         self.index
             .split_with_sums(idx, pos, v, pass.lo_sum, pass.total_sum);
@@ -368,34 +347,7 @@ impl CrackerColumn {
             if a == b && !lo_resolved && !hi_resolved && !self.index.piece(a).sorted {
                 // Both bounds land in the same unsorted piece: one pass.
                 let p = self.index.piece(a);
-                let choice = self.kernel.choose(p.len());
-                self.dispatches.record(choice);
-                let pass = match (&mut self.rowids, choice) {
-                    (Some(rowids), KernelChoice::Branchy) => {
-                        crate::kernels::crack_in_three_with_rowids_sums(
-                            &mut self.data[p.start..p.end],
-                            &mut rowids[p.start..p.end],
-                            lo,
-                            hi,
-                        )
-                    }
-                    (Some(rowids), KernelChoice::Predicated) => {
-                        crate::kernels::crack_in_three_with_rowids_sums_pred(
-                            &mut self.data[p.start..p.end],
-                            &mut rowids[p.start..p.end],
-                            lo,
-                            hi,
-                        )
-                    }
-                    (None, KernelChoice::Branchy) => {
-                        crate::kernels::crack_in_three_sums(&mut self.data[p.start..p.end], lo, hi)
-                    }
-                    (None, KernelChoice::Predicated) => crate::kernels::crack_in_three_sums_pred(
-                        &mut self.data[p.start..p.end],
-                        lo,
-                        hi,
-                    ),
-                };
+                let pass = sweep!(self, p.start..p.end, crack_in_three(lo, hi));
                 let abs_a = p.start + pass.a;
                 let abs_b = p.start + pass.b;
                 // Both splits (and all three region sums the fused pass
@@ -416,7 +368,7 @@ impl CrackerColumn {
     /// partitioning work across the whole batch: the deduplicated predicate
     /// bounds of all queries are grouped by the piece they currently fall
     /// into, and every affected piece is cracked around *all* of its pivots
-    /// with a single multi-pivot pass ([`crate::kernels::crack_in_k`];
+    /// with a single multi-pivot pass ([`kernels::crack_in_k`];
     /// one or two pivots use the cheaper one-pass two-/three-way kernels).
     /// Each query is then answered from the refined index, so the returned
     /// ranges are identical to what per-query [`CrackerColumn::crack_select`]
@@ -505,44 +457,18 @@ impl CrackerColumn {
             seg_sums.push(prefix.sum_range(prev..p.end));
             return (splits, Some(seg_sums));
         }
-        let choice = self.kernel.choose(p.len());
-        self.dispatches.record(choice);
-        let forced = match choice {
-            KernelChoice::Branchy => CrackKernel::Branchy,
-            KernelChoice::Predicated => CrackKernel::Predicated,
-        };
-        let data = &mut self.data[p.start..p.end];
-        let (offsets, seg_sums): (Vec<usize>, Vec<i128>) = match (&mut self.rowids, pivots) {
+        let (offsets, seg_sums): (Vec<usize>, Vec<i128>) = match *pivots {
             // One or two pivots keep the classic single-pass kernels.
-            (Some(rowids), &[v]) => {
-                let two =
-                    forced.crack_in_two_with_rowids_sums(data, &mut rowids[p.start..p.end], v);
+            [v] => {
+                let two = sweep!(self, p.start..p.end, crack_in_two(v));
                 (vec![two.split], vec![two.lo_sum, two.hi_sum()])
             }
-            (None, &[v]) => {
-                let two = forced.crack_in_two_sums(data, v);
-                (vec![two.split], vec![two.lo_sum, two.hi_sum()])
-            }
-            (Some(rowids), &[lo, hi]) => {
-                let three = forced.crack_in_three_with_rowids_sums(
-                    data,
-                    &mut rowids[p.start..p.end],
-                    lo,
-                    hi,
-                );
+            [lo, hi] => {
+                let three = sweep!(self, p.start..p.end, crack_in_three(lo, hi));
                 (vec![three.a, three.b], three.sums.to_vec())
             }
-            (None, &[lo, hi]) => {
-                let three = forced.crack_in_three_sums(data, lo, hi);
-                (vec![three.a, three.b], three.sums.to_vec())
-            }
-            (Some(rowids), _) => {
-                let k =
-                    forced.crack_in_k_with_rowids_sums(data, &mut rowids[p.start..p.end], pivots);
-                (k.boundaries, k.segment_sums)
-            }
-            (None, _) => {
-                let k = forced.crack_in_k_sums(data, pivots);
+            _ => {
+                let k = sweep!(self, p.start..p.end, crack_in_k(pivots));
                 (k.boundaries, k.segment_sums)
             }
         };
@@ -870,7 +796,6 @@ impl CrackerColumn {
         data: Vec<Value>,
         rowids: Option<Vec<RowId>>,
         index: PieceIndex,
-        kernel: CrackKernel,
         cracks_performed: u64,
         sample_seed: u64,
         sample_rate: usize,
@@ -903,7 +828,6 @@ impl CrackerColumn {
             rowids,
             index,
             cracks_performed,
-            kernel,
             dispatches: KernelDispatches::default(),
         })
     }
@@ -1073,43 +997,30 @@ mod tests {
 
     #[test]
     fn kernel_policy_is_respected_and_dispatches_are_counted() {
-        use crate::kernels::CrackKernel;
-        for kernel in [CrackKernel::Branchy, CrackKernel::Predicated] {
-            let mut c = CrackerColumn::from_values(sample()).with_kernel(kernel);
-            assert_eq!(c.kernel(), kernel);
-            assert_eq!(c.kernel_dispatches().total(), 0);
-            let r = c.crack_select(5, 12);
-            assert_eq!((r.end - r.start) as u64, scan_count(&sample(), 5, 12));
-            assert!(c.validate());
-            let d = c.kernel_dispatches();
-            assert!(d.total() >= 1);
-            match kernel {
-                CrackKernel::Branchy => assert_eq!(d.predicated, 0),
-                CrackKernel::Predicated => assert_eq!(d.branchy, 0),
-                CrackKernel::Auto { .. } => unreachable!(),
-            }
-        }
-        // Auto on a tiny column always resolves to the branchy form.
+        // A piece below the predication threshold is cracked branchy.
         let mut c = CrackerColumn::from_values(sample());
-        c.set_kernel(CrackKernel::auto());
-        let _ = c.crack_select(5, 12);
-        assert_eq!(c.kernel_dispatches().predicated, 0);
-        assert!(c.kernel_dispatches().branchy >= 1);
-    }
-
-    #[test]
-    fn predicated_kernel_answers_match_branchy_across_a_query_sequence() {
-        let queries = [(5, 12), (1, 4), (10, 20), (0, 25), (7, 8), (13, 14)];
-        let mut branchy =
-            CrackerColumn::from_values(sample()).with_kernel(crate::kernels::CrackKernel::Branchy);
-        let mut pred = CrackerColumn::from_values(sample())
-            .with_kernel(crate::kernels::CrackKernel::Predicated);
-        for &(lo, hi) in &queries {
-            let rb = branchy.crack_select(lo, hi);
-            let rp = pred.crack_select(lo, hi);
-            assert_eq!(rb.end - rb.start, rp.end - rp.start, "[{lo},{hi})");
-            assert!(branchy.validate() && pred.validate());
+        assert_eq!(c.kernel_dispatches().total(), 0);
+        let r = c.crack_select(5, 12);
+        assert_eq!((r.end - r.start) as u64, scan_count(&sample(), 5, 12));
+        assert!(c.validate());
+        let d = c.kernel_dispatches();
+        assert_eq!((d.branchy, d.predicated), (1, 0));
+        // A piece at the threshold is cracked predicated; the pieces that
+        // crack leaves behind are small again and go back to branchy.
+        let values: Vec<Value> = (0..256).rev().collect();
+        let mut c = CrackerColumn::from_values_with_rowids(values.clone());
+        let r = c.crack_select(64, 192);
+        assert_eq!(r.len(), 128);
+        assert_eq!(c.kernel_dispatches().predicated, 1);
+        let r = c.crack_select(10, 20);
+        assert_eq!(r.len(), 10);
+        let d = c.kernel_dispatches();
+        assert_eq!((d.branchy, d.predicated), (1, 1));
+        let ids = c.rowids_in(r.clone()).expect("rowids kept");
+        for (&v, &id) in c.view(r).iter().zip(ids) {
+            assert_eq!(values[id as usize], v);
         }
+        assert!(c.validate());
     }
 
     #[test]

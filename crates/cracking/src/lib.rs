@@ -14,23 +14,23 @@
 //! This crate provides the full adaptive-indexing substrate the paper's
 //! holistic kernel builds on:
 //!
-//! * [`kernels`] — the in-place partitioning kernels (`crack_in_two`,
-//!   `crack_in_three`), with and without row-id payloads.
+//! * [`kernels`] — the in-place partitioning kernels: three sum-fused
+//!   sweeps (`crack_in_two`, `crack_in_three`, `crack_in_k`), each generic
+//!   over its row-id payload and its branchy or predicated form.
 //! * [`piece`] / [`index`] — pieces and the cracker (piece) index.
 //! * [`cracker`] — [`CrackerColumn`]: the query-facing cracked copy of a
 //!   base column, including *random refinement actions* (the building block
 //!   of the paper's idle-time tuning).
 //! * [`stochastic`] — stochastic cracking variants (DDC, DDR, MDD1R) for
 //!   robustness against adversarial (e.g. sequential) workloads.
-//! * [`merging`] — adaptive merging, the partition/merge-style alternative.
 //! * [`updates`] — cracking under updates: pending insert/delete buffers
 //!   merged into the cracker column with ripple insertion/deletion.
 //! * [`concurrent`] — a latch-protected cracker column usable from multiple
 //!   threads: the column is split into fixed-extent **shards**, each its
 //!   own piece table behind its own reader/writer latch, so queries fan
 //!   out and compose per-shard aggregates while writers crack disjoint
-//!   shards in parallel (a one-shard column keeps the classic
-//!   single-latch behavior).
+//!   shards in parallel (an unsharded column is the one-shard case of the
+//!   same code).
 //! * [`persist`] — snapshot encode/decode of the learned cracking state,
 //!   with full validation of every recovered piece.
 
@@ -42,10 +42,8 @@ pub mod corrupt;
 pub mod cracker;
 pub mod index;
 pub mod kernels;
-pub mod merging;
 pub mod persist;
 pub mod piece;
-pub mod sideways;
 pub mod stochastic;
 pub mod updates;
 
@@ -57,17 +55,13 @@ pub use corrupt::{corrupt_column, CorruptionInjector, CorruptionKind};
 pub use cracker::{CrackerColumn, RangeAggregate};
 pub use index::{PieceIndex, SplitGroup};
 pub use kernels::{
-    crack_in_k, crack_in_k_pred, crack_in_k_sums, crack_in_k_sums_pred, crack_in_three,
-    crack_in_three_pred, crack_in_three_sums, crack_in_three_sums_pred, crack_in_two,
-    crack_in_two_pred, crack_in_two_sums, crack_in_two_sums_pred, CrackKernel, KWaySums,
-    KernelChoice, KernelDispatches, ThreeWaySums, TwoWaySums, DEFAULT_PREDICATION_THRESHOLD,
+    crack_in_k, crack_in_three, crack_in_two, KWaySums, KernelChoice, KernelDispatches, RowIds,
+    ThreeWaySums, TwoWaySums, DEFAULT_PREDICATION_THRESHOLD,
 };
-pub use merging::AdaptiveMergingIndex;
 pub use persist::{
     decode_cracker_column, decode_cracker_column_with, encode_cracker_column, DecodeValidation,
 };
 pub use piece::Piece;
-pub use sideways::{CrackerMap, MapSet};
 pub use stochastic::CrackPolicy;
 pub use updates::UpdatableCrackerColumn;
 

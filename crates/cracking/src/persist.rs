@@ -34,7 +34,6 @@ use holistic_storage::PrefixSums;
 
 use crate::cracker::CrackerColumn;
 use crate::index::PieceIndex;
-use crate::kernels::CrackKernel;
 use crate::piece::Piece;
 
 /// Encodes a cracker column's complete learned state.
@@ -112,18 +111,14 @@ pub enum DecodeValidation {
 
 /// Decodes a cracker column written by [`encode_cracker_column`],
 /// validating every recovered piece against the recovered data.
-pub fn decode_cracker_column(
-    bytes: &[u8],
-    kernel: CrackKernel,
-) -> Result<CrackerColumn, PersistError> {
-    decode_cracker_column_with(bytes, kernel, DecodeValidation::Full)
+pub fn decode_cracker_column(bytes: &[u8]) -> Result<CrackerColumn, PersistError> {
+    decode_cracker_column_with(bytes, DecodeValidation::Full)
 }
 
 /// Decodes a cracker column with the given validation mode (see
 /// [`DecodeValidation`]).
 pub fn decode_cracker_column_with(
     bytes: &[u8],
-    kernel: CrackKernel,
     validation: DecodeValidation,
 ) -> Result<CrackerColumn, PersistError> {
     let mut d = Decoder::new(bytes);
@@ -172,23 +167,18 @@ pub fn decode_cracker_column_with(
     let index = PieceIndex::from_parts(data.len(), pieces)
         .ok_or_else(|| PersistError::Corrupt("piece table is not contiguous".into()))?;
     match validation {
-        DecodeValidation::Full => {
-            CrackerColumn::from_parts(data, rowids, index, kernel, cracks_performed).ok_or_else(
-                || PersistError::Corrupt("recovered cracker column failed validation".into()),
-            )
+        DecodeValidation::Full => CrackerColumn::from_parts(data, rowids, index, cracks_performed)
+            .ok_or_else(|| {
+                PersistError::Corrupt("recovered cracker column failed validation".into())
+            }),
+        DecodeValidation::Sampled { seed, rate } => {
+            CrackerColumn::from_parts_sampled(data, rowids, index, cracks_performed, seed, rate)
+                .ok_or_else(|| {
+                    PersistError::Corrupt(
+                        "recovered cracker column failed sampled validation".into(),
+                    )
+                })
         }
-        DecodeValidation::Sampled { seed, rate } => CrackerColumn::from_parts_sampled(
-            data,
-            rowids,
-            index,
-            kernel,
-            cracks_performed,
-            seed,
-            rate,
-        )
-        .ok_or_else(|| {
-            PersistError::Corrupt("recovered cracker column failed sampled validation".into())
-        }),
     }
 }
 
@@ -209,7 +199,7 @@ mod tests {
     fn round_trip_preserves_everything() {
         let col = cracked_column();
         let bytes = encode_cracker_column(&col);
-        let back = decode_cracker_column(&bytes, col.kernel()).unwrap();
+        let back = decode_cracker_column(&bytes).unwrap();
         assert_eq!(back.data(), col.data());
         assert_eq!(back.rowids(), col.rowids());
         assert_eq!(back.cracks_performed(), col.cracks_performed());
@@ -233,7 +223,7 @@ mod tests {
         assert!(shared.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])));
 
         let bytes = encode_cracker_column(&col);
-        let back = decode_cracker_column(&bytes, col.kernel()).unwrap();
+        let back = decode_cracker_column(&bytes).unwrap();
         let recovered: Vec<&Arc<PrefixSums>> = back
             .pieces()
             .iter()
@@ -252,7 +242,7 @@ mod tests {
         let mut col = CrackerColumn::from_values_with_rowids(vec![5, 3, 9, 1, 7]);
         let _ = col.crack_select(3, 8);
         let bytes = encode_cracker_column(&col);
-        let back = decode_cracker_column(&bytes, col.kernel()).unwrap();
+        let back = decode_cracker_column(&bytes).unwrap();
         assert_eq!(back.rowids(), col.rowids());
         assert_eq!(back.data(), col.data());
     }
@@ -269,7 +259,7 @@ mod tests {
             }
             let mut bytes = clean.clone();
             bytes[i] ^= 0x41;
-            if let Ok(back) = decode_cracker_column(&bytes, col.kernel()) {
+            if let Ok(back) = decode_cracker_column(&bytes) {
                 assert!(back.validate(), "flip at byte {i} produced invalid column");
             }
         }
@@ -280,7 +270,7 @@ mod tests {
         let col = cracked_column();
         let bytes = encode_cracker_column(&col);
         let sampled = DecodeValidation::Sampled { seed: 7, rate: 4 };
-        let back = decode_cracker_column_with(&bytes, col.kernel(), sampled).unwrap();
+        let back = decode_cracker_column_with(&bytes, sampled).unwrap();
         assert_eq!(back.pieces(), col.pieces());
         assert_eq!(back.data(), col.data());
         assert!(back.validate(), "clean input decodes to a valid column");
@@ -288,7 +278,7 @@ mod tests {
         // the sampling mode.
         for cut in (0..bytes.len()).step_by(97) {
             assert!(
-                decode_cracker_column_with(&bytes[..cut], col.kernel(), sampled).is_err(),
+                decode_cracker_column_with(&bytes[..cut], sampled).is_err(),
                 "cut at {cut} decoded"
             );
         }
@@ -312,7 +302,7 @@ mod tests {
         for i in (0..clean.len()).step_by(11) {
             let mut bytes = clean.clone();
             bytes[i] ^= 0x41;
-            if let Ok(back) = decode_cracker_column_with(&bytes, col.kernel(), sampled) {
+            if let Ok(back) = decode_cracker_column_with(&bytes, sampled) {
                 if !back.validate() {
                     deferred += 1;
                 }
@@ -329,7 +319,7 @@ mod tests {
         let clean = encode_cracker_column(&col);
         for cut in (0..clean.len()).step_by(97) {
             assert!(
-                decode_cracker_column(&clean[..cut], col.kernel()).is_err(),
+                decode_cracker_column(&clean[..cut]).is_err(),
                 "cut at {cut} decoded"
             );
         }

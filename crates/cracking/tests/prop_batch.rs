@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use holistic_cracking::stochastic::crack_select_batch_with_policy;
 use holistic_cracking::{
-    crack_in_k, crack_in_k_pred, crack_in_two, ConcurrentCrackerColumn, CrackPolicy, CrackerColumn,
+    crack_in_k, crack_in_two, ConcurrentCrackerColumn, CrackPolicy, CrackerColumn,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,15 +116,23 @@ proptest! {
     ) {
         let expected: Vec<usize> = pivots
             .iter()
-            .map(|&p| {
-                let mut d = values.clone();
-                crack_in_two(&mut d, p)
-            })
+            .map(|&p| crack_in_two::<false, _>(&mut values.clone(), (), p).split)
             .collect();
         let mut branchy = values.clone();
-        prop_assert_eq!(crack_in_k(&mut branchy, &pivots), expected.clone());
+        let branchy_k = crack_in_k::<false, _>(&mut branchy, (), &pivots);
+        prop_assert_eq!(&branchy_k.boundaries, &expected);
         let mut pred = values.clone();
-        prop_assert_eq!(crack_in_k_pred(&mut pred, &pivots), expected.clone());
+        let pred_k = crack_in_k::<true, _>(&mut pred, (), &pivots);
+        prop_assert_eq!(&pred_k.boundaries, &expected);
+        prop_assert_eq!(&pred_k.segment_sums, &branchy_k.segment_sums);
+        // The row-id payload moves in lockstep without changing the answer.
+        let mut with_ids = values.clone();
+        let mut ids: Vec<u32> = (0..values.len() as u32).collect();
+        let ids_k = crack_in_k::<true, _>(&mut with_ids, ids.as_mut_slice(), &pivots);
+        prop_assert_eq!(&ids_k, &pred_k);
+        for (&v, &id) in with_ids.iter().zip(&ids) {
+            prop_assert_eq!(values[id as usize], v, "rowid misaligned");
+        }
         for (i, (&b, &p)) in expected.iter().zip(&pivots).enumerate() {
             prop_assert!(branchy[..b].iter().all(|&v| v < p), "region {} (branchy)", i);
             prop_assert!(branchy[b..].iter().all(|&v| v >= p));
