@@ -834,7 +834,8 @@ impl Database {
     // Query execution
     // ------------------------------------------------------------------
 
-    /// Executes a range query under the active strategy.
+    /// Executes a range query under the active strategy: a batch of one
+    /// (see [`Database::execute_batch`], the one execution path).
     ///
     /// Takes `&self`: concurrent callers only contend on the latch of the
     /// column they query (and briefly on the statistics/metrics counters).
@@ -844,135 +845,40 @@ impl Database {
     /// quarantines the column's learned state and re-answers the query
     /// through the (always correct) base-storage scan path instead of
     /// surfacing an error or killing the process.
+    ///
+    /// As for every query of a batch, the Holistic hot-range check sees the
+    /// query's own predicate record, and all of the query's hot-range
+    /// boosts run in one latch pass (on a sharded column, every boost's
+    /// shard pick is drawn before the boosts crack). A single execute is
+    /// not counted in [`EngineMetrics::batches_executed`].
     pub fn execute(&self, q: &Query) -> EngineResult<QueryResult> {
-        let start = Instant::now();
-        let column_len = self.catalog.column(q.column)?.len();
-        if self.is_unhealthy(q.column) {
-            return self.execute_degraded(q, column_len, start);
-        }
-        let contained = containment::contain(|| {
-            self.corruption_tick(q.column);
-            let dispatched = match self.strategy {
-                IndexingStrategy::ScanOnly => self.exec_scan(q),
-                IndexingStrategy::Offline | IndexingStrategy::Online => {
-                    self.exec_indexed_or_scan(q)
-                }
-                IndexingStrategy::Adaptive => self.exec_crack(q, false),
-                IndexingStrategy::Holistic => self.exec_crack(q, true),
-            }?;
-            self.paranoia_check(q.column)?;
-            Ok(dispatched)
-        });
-        let (path, count, sum, values) = match contained {
-            Ok(Ok(dispatched)) => dispatched,
-            Ok(Err(HolisticError::Integrity { column, reason })) => {
-                self.quarantine_column(column, &reason);
-                return self.execute_degraded(q, column_len, start);
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(panic_reason) => {
-                self.quarantine_column(q.column, &panic_reason);
-                return self.execute_degraded(q, column_len, start);
-            }
-        };
-        let penalty = std::mem::take(&mut *self.pending_penalty.lock());
-        let mut latency = start.elapsed() + penalty;
-
-        // Continuous statistics (all strategies keep them so that switching
-        // to holistic mid-flight has knowledge to work with; the overhead is
-        // a few counters per query).
-        let selectivity = if column_len == 0 {
-            0.0
-        } else {
-            count as f64 / column_len as f64
-        };
-        self.stats.record_query(q.column, q.lo, q.hi, selectivity);
-
-        if self.strategy == IndexingStrategy::Online {
-            latency += self.online_record_and_tune(q, column_len, selectivity, path);
-        }
-
-        let result = QueryResult {
-            count,
-            sum,
-            values,
-            path,
-            latency,
-        };
-        self.metrics.record_query(QueryRecord {
-            sequence: self.query_sequence.fetch_add(1, Ordering::Relaxed),
-            column: q.column,
-            path,
-            latency,
-            result_count: count,
-        });
-        self.touch_activity();
-        Ok(result)
+        self.execute_queries(std::slice::from_ref(q))?
+            .pop()
+            .ok_or_else(|| HolisticError::Validation("execute produced no result".into()))
     }
 
-    /// Answers a query on a quarantined (or rebuilding) column through the
-    /// base-storage scan path. Corruption only ever touches *learned*
-    /// state, so the scan answer is always correct; the query is recorded
-    /// as a degraded scan in the metrics.
-    fn execute_degraded(
-        &self,
-        q: &Query,
-        column_len: usize,
-        start: Instant,
-    ) -> EngineResult<QueryResult> {
-        let (path, count, sum, values) = self.exec_scan(q)?;
-        self.metrics.record_degraded_scan();
-        let penalty = std::mem::take(&mut *self.pending_penalty.lock());
-        let latency = start.elapsed() + penalty;
-        let selectivity = if column_len == 0 {
-            0.0
-        } else {
-            count as f64 / column_len as f64
-        };
-        self.stats.record_query(q.column, q.lo, q.hi, selectivity);
-        let result = QueryResult {
-            count,
-            sum,
-            values,
-            path,
-            latency,
-        };
-        self.metrics.record_query(QueryRecord {
-            sequence: self.query_sequence.fetch_add(1, Ordering::Relaxed),
-            column: q.column,
-            path,
-            latency,
-            result_count: count,
-        });
-        self.touch_activity();
-        Ok(result)
-    }
-
-    /// The Offline/Online access-path choice: full index if present, then a
+    /// The index-or-scan access-path choice: full index if present, then a
     /// tuner-built index, then the scan baseline.
     fn exec_indexed_or_scan(
         &self,
         q: &Query,
     ) -> EngineResult<(AccessPath, u64, i128, Option<Vec<Value>>)> {
-        if self.full_indexes.contains_key(&q.column) {
-            self.exec_index(q)
-        } else if self.strategy == IndexingStrategy::Online
-            || self.online_index_count.load(Ordering::Relaxed) > 0
-        {
-            // Clone the Arc under the tuner lock, probe outside it:
-            // index probes on different columns must not serialize
-            // on the shared tuner. Non-Online strategies only pay
-            // the lock when the tuner actually holds indexes (e.g.
-            // after an Online-to-Offline strategy switch).
-            let tuner_index = self.online.lock().index_arc(q.column);
-            if let Some(idx) = tuner_index {
-                let (count, sum, values) = self.exec_with_index(q, &idx);
+        // Clone the tuner's Arc under its lock, probe outside it: index
+        // probes on different columns must not serialize on the shared
+        // tuner. Strategies other than Online only pay the lock when the
+        // tuner actually holds indexes (e.g. after an Online-to-Offline
+        // strategy switch).
+        let tuner_index = (!self.full_indexes.contains_key(&q.column)
+            && (self.strategy == IndexingStrategy::Online
+                || self.online_index_count.load(Ordering::Relaxed) > 0))
+            .then(|| self.online.lock().index_arc(q.column))
+            .flatten();
+        match self.full_indexes.get(&q.column).or(tuner_index.as_deref()) {
+            Some(idx) => {
+                let (count, sum, values) = self.exec_with_index(q, idx);
                 Ok((AccessPath::FullIndex, count, sum, values))
-            } else {
-                self.exec_scan(q)
             }
-        } else {
-            self.exec_scan(q)
+            None => self.exec_scan(q),
         }
     }
 
@@ -1054,18 +960,6 @@ impl Database {
         (count, sum, values)
     }
 
-    fn exec_index(&self, q: &Query) -> EngineResult<(AccessPath, u64, i128, Option<Vec<Value>>)> {
-        // Callers check for existence, but a column recovered without its
-        // index (or dropped mid-flight) must surface as a typed error, not
-        // an abort.
-        let idx = self
-            .full_indexes
-            .get(&q.column)
-            .ok_or(HolisticError::FullIndexMissing(q.column))?;
-        let (count, sum, values) = self.exec_with_index(q, idx);
-        Ok((AccessPath::FullIndex, count, sum, values))
-    }
-
     /// The latched cracker column for `column`, created from the base data
     /// on first use. With persistence enabled the birth is WAL-logged
     /// first (`CrackerBorn`), so recovery re-instantiates the cracker at
@@ -1116,64 +1010,6 @@ impl Database {
         )
     }
 
-    fn exec_crack(
-        &self,
-        q: &Query,
-        holistic: bool,
-    ) -> EngineResult<(AccessPath, u64, i128, Option<Vec<Value>>)> {
-        // A full index (e.g. built during a-priori idle time) trumps cracking.
-        if self.full_indexes.contains_key(&q.column) {
-            return self.exec_index(q);
-        }
-        let cracker = self.cracker_for(q.column)?;
-        let mut rng = self.fork_rng();
-        let outcome = cracker.select_with_policy(
-            q.lo,
-            q.hi,
-            q.materialize,
-            self.config.crack_policy,
-            &mut rng,
-        );
-
-        self.metrics.record_aggregate_cache(outcome.cache);
-        let mut dispatches = outcome.dispatches;
-        let mut piece_shape = (outcome.piece_count, outcome.avg_piece_len);
-        if holistic && !q.is_empty_range() {
-            // The "No Time" case: no idle time may ever appear, but a hot
-            // value range earns extra refinement right now, during query
-            // processing, paid for by this query.
-            let hot = self.stats.is_hot_range(
-                q.column,
-                q.lo,
-                q.hi,
-                self.config.hot_range_query_threshold,
-            );
-            if hot {
-                let mut applied = 0;
-                for _ in 0..self.config.boost_cracks_per_query {
-                    let boost = cracker.refine_in_range(q.lo, q.hi, &mut rng);
-                    dispatches.add(boost.dispatches);
-                    piece_shape = (boost.piece_count, boost.avg_piece_len);
-                    if boost.split {
-                        applied += 1;
-                    }
-                }
-                if applied > 0 {
-                    self.stats.record_auxiliary_actions(q.column, applied);
-                }
-            }
-        }
-        self.metrics.add_kernel_dispatches(dispatches);
-        self.stats
-            .record_refinement(q.column, piece_shape.0, piece_shape.1);
-        Ok((
-            AccessPath::Crack,
-            outcome.count,
-            outcome.sum,
-            outcome.values,
-        ))
-    }
-
     // ------------------------------------------------------------------
     // Batched query execution
     // ------------------------------------------------------------------
@@ -1185,18 +1021,36 @@ impl Database {
     /// ([`ConcurrentCrackerColumn::select_batch_with_policy`]), and
     /// statistics/metrics are recorded in bulk.
     ///
-    /// Results come back in the order the queries were passed, with
-    /// count/sum/materialization semantics identical to issuing every query
-    /// through [`Database::execute`] sequentially. Differences from the
-    /// sequential path are limited to bookkeeping: queries of one column
-    /// group share the group's wall-clock cost evenly (their individual
-    /// latencies are no longer observable), and a pending penalty is charged
-    /// to the batch's first query.
+    /// This is the engine's one execution path: [`Database::execute`] is a
+    /// batch of one. Results come back in the order the queries were
+    /// passed, with count/sum/materialization semantics identical to
+    /// issuing every query as a batch of one. Differences are limited to
+    /// bookkeeping and boost timing: queries of one column group share the
+    /// group's wall-clock cost evenly (their individual latencies are no
+    /// longer observable), a pending penalty is charged to the batch's
+    /// first query, and every query's hot-range check sees the whole
+    /// group's predicate records.
     ///
-    /// Unlike sequential execution, the batch validates every column up
-    /// front: if any query references an unknown column the whole batch
-    /// fails without executing anything.
+    /// The batch validates every column up front: if any query references
+    /// an unknown column the whole batch fails without executing anything.
+    /// Each call is counted once in [`EngineMetrics::batches_executed`].
     pub fn execute_batch(&self, queries: &[Query]) -> EngineResult<Vec<QueryResult>> {
+        let results = self.execute_queries(queries)?;
+        if !queries.is_empty() {
+            self.metrics.record_batch(queries.len() as u64);
+        }
+        Ok(results)
+    }
+
+    /// The execution path behind [`Database::execute`] and
+    /// [`Database::execute_batch`]; records no batch count.
+    ///
+    /// Per column group: quarantined columns answer through the scan path;
+    /// healthy groups run inside the containment boundary (cracking
+    /// strategies through one batched select, scan and index probes per
+    /// query) followed by the group's paranoia check, and a containment
+    /// event quarantines the column and re-answers the group by scan.
+    fn execute_queries(&self, queries: &[Query]) -> EngineResult<Vec<QueryResult>> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -1255,79 +1109,39 @@ impl Database {
 
         for (column, indexes) in &groups {
             let column_len = column_lens[column];
-            if unhealthy.contains(column) {
-                self.exec_scan_group(queries, indexes, *column, column_len, &mut results)?;
-                continue;
-            }
-            let batched_crack = matches!(
-                self.strategy,
-                IndexingStrategy::Adaptive | IndexingStrategy::Holistic
-            ) && !self.full_indexes.contains_key(column);
-            // Each healthy group runs inside the containment boundary: a
-            // kernel panic or paranoia failure quarantines this column and
-            // re-answers the whole group through the scan path, leaving
-            // the other groups untouched.
-            let contained = containment::contain(|| -> EngineResult<()> {
-                self.corruption_tick(*column);
-                if batched_crack {
-                    // Records the group's statistics itself (they must
-                    // precede the hot-range boost checks).
-                    self.exec_crack_batch(queries, indexes, *column, column_len, &mut results)?;
-                } else {
-                    // Scan and index probes have no partitioning work to
-                    // amortize; they run per query (including the online
-                    // tuner's per-query epoch accounting) and only share the
-                    // batch's bulk statistics recording below.
-                    for &i in indexes {
-                        let q = &queries[i];
-                        let q_start = Instant::now();
-                        let (path, count, sum, values) = match self.strategy {
-                            IndexingStrategy::ScanOnly => self.exec_scan(q)?,
-                            IndexingStrategy::Offline | IndexingStrategy::Online => {
-                                self.exec_indexed_or_scan(q)?
-                            }
-                            IndexingStrategy::Adaptive | IndexingStrategy::Holistic => {
-                                self.exec_index(q)?
-                            }
-                        };
-                        let mut latency = q_start.elapsed();
-                        if self.strategy == IndexingStrategy::Online {
-                            let selectivity = if column_len == 0 {
-                                0.0
-                            } else {
-                                count as f64 / column_len as f64
-                            };
-                            latency +=
-                                self.online_record_and_tune(q, column_len, selectivity, path);
-                        }
-                        results[i] = Some(QueryResult {
-                            count,
-                            sum,
-                            values,
-                            path,
-                            latency,
-                        });
+            if !unhealthy.contains(column) {
+                let batched_crack = matches!(
+                    self.strategy,
+                    IndexingStrategy::Adaptive | IndexingStrategy::Holistic
+                ) && !self.full_indexes.contains_key(column);
+                // Each healthy group runs inside the containment boundary: a
+                // kernel panic or paranoia failure quarantines this column and
+                // re-answers the whole group through the scan path, leaving
+                // the other groups untouched.
+                let contained = containment::contain(|| -> EngineResult<()> {
+                    self.corruption_tick(*column);
+                    if batched_crack {
+                        self.exec_crack_batch(queries, indexes, *column, column_len, &mut results)?;
+                    } else {
+                        self.exec_query_by_query(
+                            queries,
+                            indexes,
+                            *column,
+                            column_len,
+                            &mut results,
+                            false,
+                        )?;
                     }
-                    // Bulk statistics: one lock round for the whole column
-                    // group.
-                    let predicates =
-                        Self::group_predicates(queries, indexes, column_len, results.as_slice());
-                    self.stats.record_queries(*column, &predicates);
-                }
-                self.paranoia_check(*column)
-            });
-            match contained {
-                Ok(Ok(())) => {}
-                Ok(Err(HolisticError::Integrity { reason, .. })) => {
-                    self.quarantine_column(*column, &reason);
-                    self.exec_scan_group(queries, indexes, *column, column_len, &mut results)?;
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(panic_reason) => {
-                    self.quarantine_column(*column, &panic_reason);
-                    self.exec_scan_group(queries, indexes, *column, column_len, &mut results)?;
-                }
+                    self.paranoia_check(*column)
+                });
+                let reason = match contained {
+                    Ok(Ok(())) => continue,
+                    Ok(Err(HolisticError::Integrity { reason, .. })) | Err(reason) => reason,
+                    Ok(Err(e)) => return Err(e),
+                };
+                self.quarantine_column(*column, &reason);
             }
+            self.exec_query_by_query(queries, indexes, *column, column_len, &mut results, true)?;
         }
 
         let mut out = Vec::with_capacity(queries.len());
@@ -1339,8 +1153,7 @@ impl Database {
                 )));
             };
             if i == 0 {
-                // Same contract as the sequential path: the next executed
-                // query pays the pending penalty.
+                // The next executed query pays the pending penalty.
                 result.latency += penalty;
             }
             records.push(QueryRecord {
@@ -1353,67 +1166,65 @@ impl Database {
             out.push(result);
         }
         self.metrics.record_queries(records);
-        self.metrics.record_batch(queries.len() as u64);
         self.touch_activity();
         Ok(out)
     }
 
-    /// The `(lo, hi, selectivity)` triples of one executed column group,
-    /// for bulk statistics recording.
-    fn group_predicates(
-        queries: &[Query],
-        indexes: &[usize],
-        column_len: usize,
-        results: &[Option<QueryResult>],
-    ) -> Vec<(Value, Value, f64)> {
-        indexes
-            .iter()
-            .filter_map(|&i| {
-                let q = &queries[i];
-                let count = results[i].as_ref()?.count;
-                let selectivity = if column_len == 0 {
-                    0.0
-                } else {
-                    count as f64 / column_len as f64
-                };
-                Some((q.lo, q.hi, selectivity))
-            })
-            .collect()
-    }
-
-    /// Answers one column group of a batch through the base-storage scan
-    /// path: the column is quarantined (or was quarantined mid-group by a
-    /// containment event, in which case any partial results are simply
-    /// overwritten). Always correct — corruption never touches base data.
-    fn exec_scan_group(
+    /// Answers one column group of a batch query by query: scan and index
+    /// probes have no partitioning work to amortize, so they run per query
+    /// (with the online tuner's per-query epoch accounting: Online charges
+    /// its tuning time to the query) and only share the group's bulk
+    /// statistics recording. A `degraded` group's column is quarantined (or
+    /// was quarantined mid-group by a containment event, in which case any
+    /// partial results are simply overwritten): it answers through the
+    /// base-storage scan path, always correct because corruption never
+    /// touches base data.
+    fn exec_query_by_query(
         &self,
         queries: &[Query],
         indexes: &[usize],
         column: ColumnId,
         column_len: usize,
         results: &mut [Option<QueryResult>],
+        degraded: bool,
     ) -> EngineResult<()> {
+        let mut predicates = Vec::with_capacity(indexes.len());
         for &i in indexes {
             let q = &queries[i];
             let q_start = Instant::now();
-            let (path, count, sum, values) = self.exec_scan(q)?;
+            let (path, count, sum, values) =
+                if degraded || self.strategy == IndexingStrategy::ScanOnly {
+                    self.exec_scan(q)?
+                } else {
+                    self.exec_indexed_or_scan(q)?
+                };
+            let mut latency = q_start.elapsed();
+            if degraded {
+                self.metrics.record_degraded_scan();
+            } else if self.strategy == IndexingStrategy::Online {
+                latency += self.online_record_and_tune(
+                    q,
+                    column_len,
+                    selectivity(count, column_len),
+                    path,
+                );
+            }
             results[i] = Some(QueryResult {
                 count,
                 sum,
                 values,
                 path,
-                latency: q_start.elapsed(),
+                latency,
             });
-            self.metrics.record_degraded_scan();
+            predicates.push((q.lo, q.hi, selectivity(count, column_len)));
         }
-        let predicates = Self::group_predicates(queries, indexes, column_len, results);
         self.stats.record_queries(column, &predicates);
         Ok(())
     }
 
     /// Executes one column group of a batch through the batched cracking
     /// path: one latch acquisition for the multi-pivot select, bulk
-    /// statistics recording, then one more latch acquisition for all of the
+    /// statistics recording, then one more latch pass for all of the
     /// group's holistic hot-range boosts together.
     fn exec_crack_batch(
         &self,
@@ -1437,30 +1248,20 @@ impl Database {
         self.metrics.record_aggregate_cache(outcome.cache);
         let mut dispatches = outcome.dispatches;
         let mut piece_shape = (outcome.piece_count, outcome.avg_piece_len);
-        // One latch pass served the whole group: attribute its wall-clock
-        // cost evenly across the group's queries.
-        let per_query = group_start.elapsed() / indexes.len().max(1) as u32;
-        for (&i, answer) in indexes.iter().zip(outcome.answers) {
-            results[i] = Some(QueryResult {
-                count: answer.count,
-                sum: answer.sum,
-                values: answer.values,
-                path: AccessPath::Crack,
-                latency: per_query,
-            });
-        }
         // Record the group's predicates *before* the hot-range checks, so a
         // burst of queries on one range inside a single batch can trigger
-        // boosting just like the same burst issued sequentially (where each
-        // query sees its predecessors' records). Within one batch the check
-        // is slightly more eager than sequential — every query sees the
-        // whole batch's records, including its own.
-        let predicates = Self::group_predicates(queries, indexes, column_len, results);
+        // boosting just like the same burst issued one query at a time.
+        // Every query sees the whole group's records, including its own.
+        let predicates: Vec<(Value, Value, f64)> = batch
+            .iter()
+            .zip(&outcome.answers)
+            .map(|(&(lo, hi, _), answer)| (lo, hi, selectivity(answer.count, column_len)))
+            .collect();
         self.stats.record_queries(column, &predicates);
         if self.strategy == IndexingStrategy::Holistic {
             // The "No Time" case: hot value ranges earn extra refinement
             // right now, paid for by this batch — all boosts of the group
-            // under a single latch acquisition.
+            // in one latch pass.
             let hot_ranges: Vec<(Value, Value)> = indexes
                 .iter()
                 .map(|&i| &queries[i])
@@ -1491,6 +1292,18 @@ impl Database {
         self.metrics.add_kernel_dispatches(dispatches);
         self.stats
             .record_refinement(column, piece_shape.0, piece_shape.1);
+        // The group's select and boosts are paid for by its queries: their
+        // wall-clock cost, boosts included, is split evenly across them.
+        let per_query = group_start.elapsed() / indexes.len().max(1) as u32;
+        for (&i, answer) in indexes.iter().zip(outcome.answers) {
+            results[i] = Some(QueryResult {
+                count: answer.count,
+                sum: answer.sum,
+                values: answer.values,
+                path: AccessPath::Crack,
+                latency: per_query,
+            });
+        }
         Ok(())
     }
 
@@ -1774,6 +1587,16 @@ impl Database {
             }
         }
         seeded
+    }
+}
+
+/// The fraction of a column's `column_len` values a query selected (0 for
+/// an empty column).
+fn selectivity(count: u64, column_len: usize) -> f64 {
+    if column_len == 0 {
+        0.0
+    } else {
+        count as f64 / column_len as f64
     }
 }
 

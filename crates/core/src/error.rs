@@ -16,10 +16,6 @@ use holistic_storage::{ColumnId, StorageError};
 pub enum HolisticError {
     /// A storage-layer failure (unknown table/column, arity mismatch, …).
     Storage(StorageError),
-    /// A full sorted index was expected on the column but is missing —
-    /// e.g. it was dropped between the access-path decision and the probe,
-    /// or a recovered snapshot no longer carries it.
-    FullIndexMissing(ColumnId),
     /// A persistence I/O or format failure (snapshot/WAL read or write).
     Persist(String),
     /// The fault injector killed the process at this I/O operation. Kept
@@ -72,9 +68,6 @@ impl std::fmt::Display for HolisticError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HolisticError::Storage(e) => write!(f, "storage error: {e}"),
-            HolisticError::FullIndexMissing(id) => {
-                write!(f, "full index missing on column {id:?}")
-            }
             HolisticError::Persist(msg) => write!(f, "persistence error: {msg}"),
             HolisticError::Crashed { op, index } => {
                 write!(f, "injected crash at {op} (operation #{index})")

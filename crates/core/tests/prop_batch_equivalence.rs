@@ -6,11 +6,15 @@
 //! per-query counts and sums, identical final piece boundaries (plain
 //! cracking is order-independent), and cracker-column invariants on the
 //! result. A multi-threaded stress test additionally races batches against
-//! the background tuner.
+//! the background tuner, and `execute_is_a_batch_of_one` pins that a single
+//! `execute` and a one-query `execute_batch` differ only in the batch
+//! counters.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use holistic_core::{Database, HolisticConfig, IndexingStrategy, Query};
+use holistic_core::{Database, HolisticConfig, IdleBudget, IndexingStrategy, Query};
 
 fn reference_count(values: &[i64], lo: i64, hi: i64) -> u64 {
     values.iter().filter(|&&v| v >= lo && v < hi).count() as u64
@@ -234,5 +238,107 @@ fn batches_race_the_background_tuner() {
                 .expect("post-check query");
             assert_eq!(r.count, reference_count(values, lo, lo + 555));
         }
+    }
+}
+
+#[test]
+fn execute_is_a_batch_of_one() {
+    // One seeded sequence — hot repeats, fresh ranges, empty and
+    // materialized queries, idle windows, a full index on column b —
+    // through `execute` on one engine and one-query `execute_batch` on
+    // another: every observable but the batch counters must agree.
+    for strategy in IndexingStrategy::all() {
+        let values: Vec<i64> = (0..6000).map(|i| (i * 7919) % 6000).collect();
+        let engine = || {
+            let mut db = Database::new(HolisticConfig::for_testing(), strategy);
+            let t = db
+                .create_table("r", vec![("a", values.clone()), ("b", values.clone())])
+                .unwrap();
+            (
+                db.column_id(t, "a").unwrap(),
+                db.column_id(t, "b").unwrap(),
+                db,
+            )
+        };
+        let (a, b, mut single) = engine();
+        let (_, _, mut batched) = engine();
+        single.build_full_index(b).unwrap();
+        batched.build_full_index(b).unwrap();
+        let mut rng = StdRng::seed_from_u64(14);
+        let hot = [(1000, 1100), (3000, 3050), (4500, 4900)];
+        for i in 0..160 {
+            let column = if i % 5 == 4 { b } else { a };
+            let (lo, hi) = match rng.gen_range(0..10) {
+                0..=4 => hot[rng.gen_range(0..hot.len())],
+                5 => (2500, 2400),
+                _ => {
+                    let lo: i64 = rng.gen_range(0..6000);
+                    (lo, lo + rng.gen_range(1..400i64))
+                }
+            };
+            let q = if i % 7 == 0 {
+                Query::range_materialized(column, lo, hi)
+            } else {
+                Query::range(column, lo, hi)
+            };
+            let one = single.execute(&q).unwrap();
+            let batch = batched.execute_batch(&[q]).unwrap();
+            assert_eq!(batch.len(), 1);
+            let other = &batch[0];
+            assert_eq!(
+                one.count,
+                reference_count(&values, lo, hi),
+                "{strategy} q{i}"
+            );
+            assert_eq!(
+                (one.count, one.sum, one.path),
+                (other.count, other.sum, other.path),
+                "{strategy} q{i}"
+            );
+            let sorted = |r: &holistic_core::QueryResult| {
+                r.values.clone().map(|mut v| {
+                    v.sort_unstable();
+                    v
+                })
+            };
+            assert_eq!(sorted(&one), sorted(other), "{strategy} q{i}");
+            if i % 32 == 31 {
+                single.run_idle(IdleBudget::Actions(8));
+                batched.run_idle(IdleBudget::Actions(8));
+            }
+        }
+        for column in [a, b] {
+            assert_eq!(
+                single.cracker_pieces(column),
+                batched.cracker_pieces(column),
+                "{strategy} {column}"
+            );
+            let (s, o) = (
+                single.stats().column(column).unwrap(),
+                batched.stats().column(column).unwrap(),
+            );
+            assert_eq!(
+                (s.queries, s.auxiliary_actions),
+                (o.queries, o.auxiliary_actions),
+                "{strategy} {column}"
+            );
+        }
+        assert_eq!(
+            single.metrics().aggregate_cache(),
+            batched.metrics().aggregate_cache(),
+            "{strategy}"
+        );
+        if strategy == IndexingStrategy::Holistic {
+            // The sequence is hot enough to boost during queries.
+            let boosts_and_idle = single.stats().column(a).unwrap().auxiliary_actions;
+            assert!(boosts_and_idle > single.metrics().auxiliary_actions());
+        }
+        // Only the batch counters tell the two apart.
+        assert_eq!(single.metrics().batches_executed(), 0);
+        assert_eq!(single.metrics().batched_queries(), 0);
+        assert_eq!(batched.metrics().batches_executed(), 160);
+        assert_eq!(batched.metrics().batched_queries(), 160);
+        assert_eq!(single.metrics().query_count(), 160);
+        assert_eq!(batched.metrics().query_count(), 160);
     }
 }

@@ -48,7 +48,7 @@ use crate::corrupt::CorruptionKind;
 use crate::cracker::{CrackerColumn, RangeAggregate};
 use crate::kernels::KernelDispatches;
 use crate::piece::Piece;
-use crate::stochastic::{crack_select_batch_with_policy, crack_select_with_policy, CrackPolicy};
+use crate::stochastic::{crack_select_batch_with_policy, CrackPolicy};
 use crate::Value;
 
 /// Extent sentinel for a column that was never sharded: one shard holds the
@@ -210,7 +210,7 @@ pub struct SelectOutcome {
 }
 
 /// One query's answer within a [`BatchSelectOutcome`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryAnswer {
     /// Number of qualifying values.
     pub count: u64,
@@ -237,6 +237,22 @@ pub struct BatchSelectOutcome {
     /// How the aggregate cache served the batch's count/sum answers
     /// (one hit/partial/miss classification per query).
     pub cache: AggregateCacheDelta,
+}
+
+impl BatchSelectOutcome {
+    /// The outcome of a batch of one, as a single select's outcome.
+    fn into_single(mut self) -> SelectOutcome {
+        let QueryAnswer { count, sum, values } = self.answers.pop().unwrap_or_default();
+        SelectOutcome {
+            count,
+            sum,
+            values,
+            piece_count: self.piece_count,
+            avg_piece_len: self.avg_piece_len,
+            dispatches: self.dispatches,
+            cache: self.cache,
+        }
+    }
 }
 
 /// Everything one *batched* hot-range refinement pass through the latch
@@ -279,16 +295,6 @@ impl Shard {
             inner: OrderedRwLock::new(LockLevel::Column, "ConcurrentCrackerColumn::shard", column),
         }
     }
-}
-
-/// One shard's contribution to a fanned-out select, composed by the caller.
-struct ShardPart {
-    agg: RangeAggregate,
-    values: Option<Vec<Value>>,
-    piece_count: usize,
-    len: usize,
-    dispatches: KernelDispatches,
-    cracked: bool,
 }
 
 /// One shard's contribution to a fanned-out batch select.
@@ -555,7 +561,8 @@ impl ConcurrentCrackerColumn {
 
     /// Answers the range select `[lo, hi)` under the given cracking policy,
     /// returning count, sum, (optionally) the qualifying values and the
-    /// kernel-dispatch delta in one latch acquisition.
+    /// kernel-dispatch delta: a batch of one
+    /// ([`ConcurrentCrackerColumn::select_batch_with_policy`]).
     ///
     /// If both bounds are already resolved by the cracker index — or land
     /// inside sorted pieces whose prefix-sum arrays are built, where binary
@@ -573,102 +580,8 @@ impl ConcurrentCrackerColumn {
         policy: CrackPolicy,
         rng: &mut R,
     ) -> SelectOutcome {
-        let shards = self.shard_handles();
-        let mut parts: Vec<Option<ShardPart>> = Vec::new();
-        parts.resize_with(shards.len(), || None);
-        let mut pending: Vec<(usize, Arc<Shard>)> = Vec::new();
-        let mut pending_len = 0usize;
-        for (i, sh) in shards.iter().enumerate() {
-            let guard = sh.inner.read();
-            match guard.select_if_answerable(lo, hi) {
-                Some(range) => parts[i] = Some(Self::part_for(&guard, range, lo, hi, materialize)),
-                None => {
-                    pending_len += guard.len();
-                    drop(guard);
-                    pending.push((i, Arc::clone(sh)));
-                }
-            }
-        }
-        let parallel = pending.len() > 1 && pending_len >= PARALLEL_FANOUT_MIN;
-        let results = crack_pending(pending, parallel, rng, |sh, rng| {
-            let mut guard = sh.inner.write();
-            // Re-check under the exclusive latch: a contender that queued on
-            // the same bounds may have resolved them already — re-running the
-            // policy then would inject redundant auxiliary splits (Mdd1r/DDx)
-            // and over-fragment the index.
-            if let Some(range) = guard.select_if_answerable(lo, hi) {
-                return Self::part_for(&guard, range, lo, hi, materialize);
-            }
-            let before = guard.kernel_dispatches();
-            let range = crack_select_with_policy(&mut guard, lo, hi, policy, rng);
-            let delta = guard.kernel_dispatches().since(before);
-            let mut part = Self::part_for(&guard, range, lo, hi, materialize);
-            part.dispatches = delta;
-            part.cracked = true;
-            part
-        });
-        for (i, part) in results {
-            parts[i] = Some(part);
-        }
-        self.compose_select(parts, materialize)
-    }
-
-    /// One shard's answer over its resolved position range (no cache
-    /// classification — that happens once, on the composed aggregate).
-    fn part_for(
-        column: &CrackerColumn,
-        range: Range<usize>,
-        lo: Value,
-        hi: Value,
-        materialize: bool,
-    ) -> ShardPart {
-        let agg = column.aggregate_range(range.clone(), lo, hi);
-        ShardPart {
-            agg,
-            values: materialize.then(|| column.view(range).to_vec()),
-            piece_count: column.piece_count(),
-            len: column.len(),
-            dispatches: KernelDispatches::default(),
-            cracked: false,
-        }
-    }
-
-    /// Composes per-shard parts into one outcome: aggregates sum
-    /// component-wise, the composed aggregate is classified against the
-    /// cache exactly once, and one shared/exclusive select is recorded.
-    fn compose_select(&self, parts: Vec<Option<ShardPart>>, materialize: bool) -> SelectOutcome {
-        let mut agg = RangeAggregate::default();
-        let mut dispatches = KernelDispatches::default();
-        let (mut piece_count, mut total_len) = (0usize, 0usize);
-        let mut values = materialize.then(Vec::new);
-        let mut cracked = false;
-        for part in parts.into_iter().flatten() {
-            add_aggregate(&mut agg, &part.agg);
-            dispatches.add(part.dispatches);
-            piece_count += part.piece_count;
-            total_len += part.len;
-            cracked |= part.cracked;
-            if let (Some(out), Some(mut vs)) = (values.as_mut(), part.values) {
-                out.append(&mut vs);
-            }
-        }
-        let mut cache = AggregateCacheDelta::default();
-        cache.record(&agg);
-        self.stats.record_cache(cache);
-        self.bump_select(cracked, 1);
-        SelectOutcome {
-            count: agg.count,
-            sum: agg.sum,
-            values,
-            piece_count,
-            avg_piece_len: if piece_count == 0 {
-                0.0
-            } else {
-                total_len as f64 / piece_count as f64
-            },
-            dispatches,
-            cache,
-        }
+        self.select_batch_with_policy(&[(lo, hi, materialize)], policy, rng)
+            .into_single()
     }
 
     /// Degraded-mode answer: serves `[lo, hi)` entirely under the shared
@@ -690,14 +603,13 @@ impl ConcurrentCrackerColumn {
     ) -> Option<SelectOutcome> {
         // Every shard must be answerable read-only, or the whole select
         // defers (no partial cracking on the degraded path).
-        let shards = self.shard_handles();
-        let mut parts: Vec<Option<ShardPart>> = Vec::with_capacity(shards.len());
-        for sh in &shards {
-            let guard = sh.inner.read();
-            let range = guard.select_if_answerable(lo, hi)?;
-            parts.push(Some(Self::part_for(&guard, range, lo, hi, materialize)));
-        }
-        Some(self.compose_select(parts, materialize))
+        let queries = [(lo, hi, materialize)];
+        let parts = self
+            .shard_handles()
+            .iter()
+            .map(|sh| Self::batch_part_if_resolved(&sh.inner.read(), &queries))
+            .collect::<Option<Vec<ShardBatchPart>>>()?;
+        Some(self.compose_batch(parts, &queries).into_single())
     }
 
     /// Answers a whole batch of range selects `(lo, hi, materialize)` in a
@@ -739,8 +651,10 @@ impl ConcurrentCrackerColumn {
         let parallel = pending.len() > 1 && pending_len >= PARALLEL_FANOUT_MIN;
         let results = crack_pending(pending, parallel, rng, |sh, rng| {
             let mut guard = sh.inner.write();
-            // Re-check under the exclusive latch: a queued contender may have
-            // resolved the same bounds already (see `select_with_policy`).
+            // Re-check under the exclusive latch: a contender that queued on
+            // the same bounds may have resolved them already — re-running the
+            // policy then would inject redundant auxiliary splits (Mdd1r/DDx)
+            // and over-fragment the index.
             if let Some(part) = Self::batch_part_if_resolved(&guard, queries) {
                 return part;
             }
@@ -771,7 +685,18 @@ impl ConcurrentCrackerColumn {
         for (i, part) in results {
             parts[i] = Some(part);
         }
-        // Compose each query across shards.
+        self.compose_batch(parts.into_iter().flatten(), queries)
+    }
+
+    /// Composes per-shard parts into one outcome: each query's aggregates
+    /// sum component-wise across shards, each composed aggregate is
+    /// classified against the cache exactly once, and one shared/exclusive
+    /// select per query is recorded.
+    fn compose_batch(
+        &self,
+        parts: impl IntoIterator<Item = ShardBatchPart>,
+        queries: &[(Value, Value, bool)],
+    ) -> BatchSelectOutcome {
         let mut cache = AggregateCacheDelta::default();
         let mut dispatches = KernelDispatches::default();
         let (mut piece_count, mut total_len) = (0usize, 0usize);
@@ -780,7 +705,7 @@ impl ConcurrentCrackerColumn {
             .iter()
             .map(|&(_, _, m)| (RangeAggregate::default(), m.then(Vec::new)))
             .collect();
-        for part in parts.into_iter().flatten() {
+        for part in parts {
             dispatches.add(part.dispatches);
             piece_count += part.piece_count;
             total_len += part.len;
@@ -885,41 +810,13 @@ impl ConcurrentCrackerColumn {
         self.refine(rng).split
     }
 
-    /// Applies one auxiliary refinement action restricted to the value range
-    /// `[lo, hi)` (hot-range boosting), reporting the action's effect and
-    /// dispatch delta.
-    pub fn refine_in_range<R: Rng + ?Sized>(
-        &self,
-        lo: Value,
-        hi: Value,
-        rng: &mut R,
-    ) -> RefineOutcome {
-        // Every shard covers the full value domain (sharding is by row id),
-        // so a hot value range is refined on a randomly chosen shard.
-        let shards = self.shard_handles();
-        let idx = pick_shard(shards.len(), rng);
-        let (split, dispatches) = {
-            let mut guard = shards[idx].inner.write();
-            let before = guard.kernel_dispatches();
-            let split = guard.random_crack_in_range(lo, hi, rng);
-            (split, guard.kernel_dispatches().since(before))
-        };
-        if split {
-            self.stats.refinements.fetch_add(1, Ordering::Relaxed);
-        }
-        RefineOutcome {
-            split,
-            piece_count: self.piece_count(),
-            avg_piece_len: self.avg_piece_len(),
-            dispatches,
-        }
-    }
-
     /// Applies `per_range` auxiliary refinement actions restricted to each
-    /// of `ranges` under a **single** exclusive-latch acquisition — the
-    /// batched form of [`ConcurrentCrackerColumn::refine_in_range`], used
-    /// for hot-range boosting of a whole query batch (one latch round trip
-    /// instead of one per boost per hot query).
+    /// of `ranges` (hot-range boosting), one shard latch acquisition per
+    /// shard the actions land on — the hot ranges of a whole query batch,
+    /// or of one query, pay one latch round trip instead of one per boost.
+    /// Every shard covers the full value domain (sharding is by row id),
+    /// so each action lands on a randomly chosen shard; only effective
+    /// actions are counted in [`LatchStats::refinements`].
     pub fn refine_in_ranges<R: Rng + ?Sized>(
         &self,
         ranges: &[(Value, Value)],
@@ -960,18 +857,6 @@ impl ConcurrentCrackerColumn {
             avg_piece_len: self.avg_piece_len(),
             dispatches,
         }
-    }
-
-    /// Applies one auxiliary refinement action restricted to the value range
-    /// `[lo, hi)` (hot-range boosting). Returns `true` if a new piece was
-    /// introduced.
-    pub fn random_crack_in_range<R: Rng + ?Sized>(
-        &self,
-        lo: Value,
-        hi: Value,
-        rng: &mut R,
-    ) -> bool {
-        self.refine_in_range(lo, hi, rng).split
     }
 
     /// Builds prefix-sum arrays for every sorted piece that lacks one,
@@ -1505,7 +1390,7 @@ mod tests {
         assert_eq!(converged.latch_stats().refinements, effective);
 
         // Same contract for the hot-range variant.
-        assert!(!converged.random_crack_in_range(5, 5, &mut rng));
+        assert_eq!(converged.refine_in_ranges(&[(5, 5)], 1, &mut rng).splits, 0);
         assert_eq!(converged.latch_stats().refinements, effective);
     }
 
@@ -1991,7 +1876,7 @@ mod tests {
         step(Some(out.cache));
         let _ = c.refine(&mut rng);
         step(None);
-        let _ = c.refine_in_range(1500, 1800, &mut rng);
+        let _ = c.refine_in_ranges(&[(1500, 1800)], 1, &mut rng);
         step(None);
         let _ = c.refine_in_ranges(&[(200, 300), (2200, 2300)], 2, &mut rng);
         step(None);

@@ -292,7 +292,10 @@ impl CrackerColumn {
     }
 
     /// Cracks the column so that values `>= v` start at the returned
-    /// position, performing at most one partitioning pass over one piece.
+    /// position, performing at most one partitioning pass over one piece —
+    /// the one-pivot case of the batch select's per-piece crack, so a
+    /// sorted piece is binary-searched and both sides' sums are priced from
+    /// its prefix array.
     pub fn crack_at(&mut self, v: Value) -> usize {
         let Some(idx) = self.index.find_piece_for_value(v) else {
             return 0;
@@ -300,68 +303,22 @@ impl CrackerColumn {
         if let Some(pos) = self.index.resolved_boundary(v) {
             return pos;
         }
-        let p = self.index.piece(idx);
-        if p.sorted {
-            // No data movement needed: binary search and record the
-            // boundary. The piece's prefix-sum array (built lazily here,
-            // under the same exclusive access the crack already holds)
-            // prices both sides' sums at one subtraction each, so even
-            // binary-search splits seed the aggregate cache.
-            let prefix = self.ensure_piece_prefix(idx);
-            let p = self.index.piece(idx);
-            let off = self.data[p.start..p.end].partition_point(|&x| x < v);
-            let pos = p.start + off;
-            self.index.split_with_sums(
-                idx,
-                pos,
-                v,
-                prefix.sum_range(p.start..pos),
-                prefix.sum_range(p.start..p.end),
-            );
-            return pos;
-        }
-        // Sum-fused kernels: the pass that partitions the piece also
-        // produces both sides' sums, which seed the aggregate cache for
-        // free (the data is streaming through cache anyway).
-        let pass = sweep!(self, p.start..p.end, crack_in_two(v));
-        let pos = p.start + pass.split;
+        let (splits, seg_sums) = self.crack_piece_multi(idx, &[v]);
+        let pos = splits.first().map_or(0, |&(pos, _)| pos);
         self.index
-            .split_with_sums(idx, pos, v, pass.lo_sum, pass.total_sum);
-        self.cracks_performed += 1;
+            .split_grouped_with_sums(&[(idx, splits, seg_sums)]);
         pos
     }
 
-    /// Answers the range select `[lo, hi)` adaptively: cracks the pieces the
-    /// bounds fall into (at most two partitioning passes, or a single
-    /// three-way pass when both bounds share a piece) and returns the
-    /// contiguous position range holding the qualifying values.
+    /// Answers the range select `[lo, hi)` adaptively: a batch of one
+    /// ([`CrackerColumn::crack_select_batch`]). Cracks the pieces the bounds
+    /// fall into — at most two partitioning passes, or a single three-way
+    /// pass when both bounds share a piece — and returns the contiguous
+    /// position range holding the qualifying values.
     pub fn crack_select(&mut self, lo: Value, hi: Value) -> Range<usize> {
-        if hi <= lo || self.data.is_empty() {
-            return 0..0;
-        }
-        let lo_idx = self.index.find_piece_for_value(lo);
-        let hi_idx = self.index.find_piece_for_value(hi);
-        let lo_resolved = self.index.resolved_boundary(lo).is_some();
-        let hi_resolved = self.index.resolved_boundary(hi).is_some();
-        if let (Some(a), Some(b)) = (lo_idx, hi_idx) {
-            if a == b && !lo_resolved && !hi_resolved && !self.index.piece(a).sorted {
-                // Both bounds land in the same unsorted piece: one pass.
-                let p = self.index.piece(a);
-                let pass = sweep!(self, p.start..p.end, crack_in_three(lo, hi));
-                let abs_a = p.start + pass.a;
-                let abs_b = p.start + pass.b;
-                // Both splits (and all three region sums the fused pass
-                // produced) are recorded with a single piece-table edit, so
-                // no second O(log P) piece lookup and no second tail shift.
-                self.index
-                    .split_multi_with_sums(a, &[(abs_a, lo), (abs_b, hi)], Some(&pass.sums));
-                self.cracks_performed += 1;
-                return abs_a..abs_b;
-            }
-        }
-        let start = self.crack_at(lo);
-        let end = self.crack_at(hi);
-        start..end
+        self.crack_select_batch(&[(lo, hi)])
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Answers a batch of range selects adaptively, amortizing the
@@ -371,8 +328,8 @@ impl CrackerColumn {
     /// with a single multi-pivot pass ([`kernels::crack_in_k`];
     /// one or two pivots use the cheaper one-pass two-/three-way kernels).
     /// Each query is then answered from the refined index, so the returned
-    /// ranges are identical to what per-query [`CrackerColumn::crack_select`]
-    /// calls would produce — but a cold column is swept twice per batch
+    /// ranges are identical to what the same queries issued one at a time
+    /// would produce — but each affected piece is swept once per batch
     /// instead of up to twice per query.
     pub fn crack_select_batch(&mut self, bounds: &[(Value, Value)]) -> Vec<Range<usize>> {
         if self.data.is_empty() {
@@ -385,8 +342,8 @@ impl CrackerColumn {
         // non-decreasing piece indexes, so groups are runs. The kernel
         // passes never touch the piece table, so all groups partition
         // against stable piece indexes; their splits are then recorded with
-        // a single piece-table rebuild (one O(P + k) pass instead of one
-        // O(P) tail shift per affected piece).
+        // a single in-place piece-table edit (each untouched piece moves at
+        // most once, instead of one O(P) tail shift per affected piece).
         let mut groups: Vec<(usize, Range<usize>)> = Vec::new();
         for (i, &v) in pivots.iter().enumerate() {
             // A pivot without a piece (empty index) simply isn't cracked;
@@ -428,7 +385,7 @@ impl CrackerColumn {
     /// falling into the piece) in one partitioning pass, returning the
     /// produced splits plus the pass's per-segment sums for the caller to
     /// record (the batch path batches them into one
-    /// [`PieceIndex::split_grouped_with_sums`] rebuild). Sorted pieces are
+    /// [`PieceIndex::split_grouped_with_sums`] edit). Sorted pieces are
     /// binary-searched — no data moves, and the segment sums come from the
     /// piece's (lazily built) prefix-sum array instead of a kernel pass.
     fn crack_piece_multi(

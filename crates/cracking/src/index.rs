@@ -13,9 +13,10 @@ use crate::Value;
 
 /// One affected piece of a batch pass: the piece's index, the splits the
 /// pass produced inside it (`(position, pivot)` pairs, the
-/// [`PieceIndex::split_multi`] contract), and the pass's per-segment sums —
-/// fused kernel sums for unsorted pieces, prefix-sum differences for
-/// binary-searched sorted pieces, `None` only for sum-less maintenance.
+/// [`PieceIndex::split_multi_with_sums`] contract), and the pass's
+/// per-segment sums — fused kernel sums for unsorted pieces, prefix-sum
+/// differences for binary-searched sorted pieces, `None` only for sum-less
+/// maintenance.
 /// Consumed by [`PieceIndex::split_grouped_with_sums`].
 pub type SplitGroup = (usize, Vec<(usize, Value)>, Option<Vec<i128>>);
 
@@ -162,8 +163,12 @@ impl PieceIndex {
     }
 
     /// Records a crack of piece `idx` at absolute position `split_pos` with
-    /// pivot value `pivot`: positions `[start, split_pos)` hold values
-    /// `< pivot`, positions `[split_pos, end)` hold values `>= pivot`.
+    /// pivot value `pivot`, plus the aggregate-cache sums the fused
+    /// partitioning pass produced: positions `[start, split_pos)` hold
+    /// values `< pivot` summing to `lo_sum`, positions `[split_pos, end)`
+    /// hold values `>= pivot`, and `total_sum` is the sum of the whole
+    /// pre-split piece. Both resulting pieces (or the single tightened
+    /// piece) get a trusted cached sum.
     ///
     /// If the split lands on the piece's start or end, no new piece is
     /// created; the existing piece's value bound is tightened instead, which
@@ -174,15 +179,6 @@ impl PieceIndex {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds or `split_pos` lies outside the piece.
-    pub fn split(&mut self, idx: usize, split_pos: usize, pivot: Value) -> bool {
-        self.split_multi(idx, &[(split_pos, pivot)]) == 1
-    }
-
-    /// Like [`PieceIndex::split`], but also records the aggregate-cache sums
-    /// a fused partitioning pass produced: `lo_sum` is the sum of the values
-    /// `< pivot`, `total_sum` the sum of the whole pre-split piece. Both
-    /// resulting pieces (or the single tightened piece) get a trusted cached
-    /// sum.
     pub fn split_with_sums(
         &mut self,
         idx: usize,
@@ -191,46 +187,34 @@ impl PieceIndex {
         lo_sum: i128,
         total_sum: i128,
     ) -> bool {
-        self.split_multi_with_sums(
+        self.split_grouped_with_sums(&[(
             idx,
-            &[(split_pos, pivot)],
-            Some(&[lo_sum, total_sum - lo_sum]),
-        ) == 1
+            vec![(split_pos, pivot)],
+            Some(vec![lo_sum, total_sum - lo_sum]),
+        )]) == 1
     }
 
     /// Records all splits of one multi-pivot partitioning pass over piece
-    /// `idx` in a single piece-table edit.
+    /// `idx` in a single piece-table edit (a one-group
+    /// [`PieceIndex::split_grouped_with_sums`]).
     ///
     /// `splits` are `(split_pos, pivot)` pairs — each with the same meaning
-    /// as [`PieceIndex::split`] — ordered by position, with strictly
-    /// increasing pivots. Splits landing on the piece's start or end tighten
-    /// its value bounds; interior splits carve the piece into sub-pieces.
-    /// The whole edit is applied with one `Vec::splice`, so the piece table's
-    /// tail is shifted once per pass instead of once per split (the former
-    /// O(pieces) `Vec::insert` per crack).
+    /// as in [`PieceIndex::split_with_sums`] — ordered by position, with
+    /// strictly increasing pivots. Splits landing on the piece's start or
+    /// end tighten its value bounds; interior splits carve the piece into
+    /// sub-pieces. `seg_sums[i]` is the sum of the values between split
+    /// `i - 1` and split `i` (with `seg_sums[0]` before the first split and
+    /// the last entry after the last split — `splits.len() + 1` entries
+    /// total). With `None`, newly created pieces get no cached sum (a pure
+    /// bound-tightening edit still keeps the existing one, since the piece's
+    /// contents are unchanged).
     ///
     /// Returns the number of new pieces created.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds, any split position lies outside the
-    /// piece, positions decrease, or pivots are not strictly increasing.
-    pub fn split_multi(&mut self, idx: usize, splits: &[(usize, Value)]) -> usize {
-        self.split_multi_with_sums(idx, splits, None)
-    }
-
-    /// Like [`PieceIndex::split_multi`], but also records the per-segment
-    /// sums of the fused multi-pivot pass that produced the splits:
-    /// `seg_sums[i]` is the sum of the values between split `i - 1` and
-    /// split `i` (with `seg_sums[0]` before the first split and the last
-    /// entry after the last split — `splits.len() + 1` entries total).
-    /// With `None`, newly created pieces get no cached sum (a pure
-    /// bound-tightening edit still keeps the existing one, since the piece's
-    /// contents are unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions of [`PieceIndex::split_multi`], or if
+    /// piece, positions decrease, pivots are not strictly increasing, or
     /// `seg_sums` has the wrong length.
     pub fn split_multi_with_sums(
         &mut self,
@@ -238,34 +222,22 @@ impl PieceIndex {
         splits: &[(usize, Value)],
         seg_sums: Option<&[i128]>,
     ) -> usize {
-        if splits.is_empty() {
-            return 0;
-        }
-        let p = self.pieces[idx].clone();
-        let mut replacement: Vec<Piece> = Vec::with_capacity(splits.len() + 1);
-        Self::expand_piece(p, splits, seg_sums, &mut replacement);
-        let created = replacement.len() - 1;
-        if created == 0 {
-            // Pure bound tightening: no table surgery needed.
-            self.pieces[idx] = replacement.swap_remove(0);
-        } else {
-            self.pieces.reserve(created);
-            self.pieces.splice(idx..=idx, replacement);
-        }
-        created
+        self.split_grouped_with_sums(&[(idx, splits.to_vec(), seg_sums.map(<[i128]>::to_vec))])
     }
 
-    /// Records the splits of a whole batch pass over *many* pieces in a
-    /// single piece-table rebuild.
+    /// Records the splits of a whole batch pass over *many* pieces in one
+    /// in-place piece-table edit — the one function that writes split
+    /// results into the piece vector.
     ///
     /// Each [`SplitGroup`] pairs an affected piece index with the splits
     /// produced inside that piece (same contract as
     /// [`PieceIndex::split_multi_with_sums`], including the optional fused
-    /// per-segment sums), strictly ascending by piece index. The table is
-    /// rebuilt once in `O(P + k)`, instead of the `O(P)` tail shift per
-    /// affected piece that repeated `split_multi` calls would pay — on a
-    /// heavily cracked column that repeated shifting dominates the
-    /// index-maintenance cost of a large batch.
+    /// per-segment sums), strictly ascending by piece index. The edit
+    /// expands each group's piece, grows the vector by the number of pieces
+    /// created, then walks the groups back to front, rotating each run of
+    /// untouched pieces once into its final place and writing the group's
+    /// expansion in front of it. No second table is built and no untouched
+    /// piece is cloned; pieces before the first group never move.
     ///
     /// Returns the total number of new pieces created.
     ///
@@ -273,41 +245,72 @@ impl PieceIndex {
     ///
     /// Panics under the per-piece conditions of
     /// [`PieceIndex::split_multi_with_sums`], or if `groups` is not
-    /// strictly ascending by piece index.
+    /// strictly ascending by piece index. Every check runs before the table
+    /// is touched.
     pub fn split_grouped_with_sums(&mut self, groups: &[SplitGroup]) -> usize {
-        if groups.is_empty() {
+        let Some(&(last_idx, _, _)) = groups.last() else {
             return 0;
-        }
+        };
         assert!(
             groups.windows(2).all(|w| w[0].0 < w[1].0),
             "groups must be strictly ascending by piece index"
         );
-        let total_splits: usize = groups.iter().map(|(_, s, _)| s.len()).sum();
-        let mut rebuilt: Vec<Piece> = Vec::with_capacity(self.pieces.len() + total_splits);
-        let mut next_group = groups.iter().peekable();
-        for (idx, p) in self.pieces.iter().enumerate() {
-            match next_group.peek() {
-                Some((group_idx, splits, seg_sums)) if *group_idx == idx => {
-                    Self::expand_piece(p.clone(), splits, seg_sums.as_deref(), &mut rebuilt);
-                    next_group.next();
-                }
-                _ => rebuilt.push(p.clone()),
-            }
-        }
         assert!(
-            next_group.peek().is_none(),
+            last_idx < self.pieces.len(),
             "group piece index out of bounds"
         );
-        let created = rebuilt.len() - self.pieces.len();
-        self.pieces = rebuilt;
+        // 1. Expand every group's piece, remembering how many pieces each
+        //    expansion holds.
+        let mut expanded: Vec<Piece> = Vec::with_capacity(
+            groups.len() + groups.iter().map(|(_, s, _)| s.len()).sum::<usize>(),
+        );
+        let mut lens = Vec::with_capacity(groups.len());
+        for (idx, splits, seg_sums) in groups {
+            let before = expanded.len();
+            Self::expand_piece(
+                self.pieces[*idx].clone(),
+                splits,
+                seg_sums.as_deref(),
+                &mut expanded,
+            );
+            lens.push(expanded.len() - before);
+        }
+        let created = expanded.len() - groups.len();
+        // 2. Grow by the number of pieces created.
+        let old_len = self.pieces.len();
+        self.pieces
+            .resize_with(old_len + created, || Piece::unbounded(0, 0));
+        // 3. Back to front: original pieces `[0, read_end)` and slots
+        //    `[0, write_end)` are not yet placed. The gap between the two is
+        //    the number of pieces the groups not yet placed create; rotating
+        //    a group's tail run right by the gap moves that run into its
+        //    final slots and leaves free slots (and the group's stale
+        //    original piece) in front of it, where the expansion goes.
+        let (mut read_end, mut write_end) = (old_len, old_len + created);
+        for ((idx, _, _), len) in groups.iter().zip(lens).rev() {
+            let gap = write_end - read_end;
+            if gap > 0 {
+                self.pieces[idx + 1..write_end].rotate_right(gap);
+            }
+            let first = idx + 1 + gap - len;
+            let from = expanded.len() - len;
+            for (slot, piece) in self.pieces[first..first + len]
+                .iter_mut()
+                .zip(expanded.drain(from..))
+            {
+                *slot = piece;
+            }
+            read_end = *idx;
+            write_end = first;
+        }
+        debug_assert_eq!(read_end, write_end, "every created piece was placed");
         created
     }
 
     /// Expands one piece into the pieces its splits produce, pushing them
-    /// onto `out` (shared by [`PieceIndex::split_multi_with_sums`] and
-    /// [`PieceIndex::split_grouped_with_sums`]). Pushes the piece unchanged
-    /// (modulo bound tightening) when no interior split exists; `splits`
-    /// must be non-empty.
+    /// onto `out` (step 1 of [`PieceIndex::split_grouped_with_sums`]).
+    /// Pushes the piece unchanged (modulo bound tightening) when no interior
+    /// split exists.
     ///
     /// `seg_sums`, when present, holds one sum per kernel segment
     /// (`splits.len() + 1` entries, segment `i` ending at split `i`); each
@@ -534,6 +537,17 @@ impl PieceIndex {
 mod tests {
     use super::*;
 
+    /// A sum-less one-group edit: the splits of one pass over piece
+    /// `piece`, recorded without kernel sums. Returns the pieces created.
+    fn split_multi(idx: &mut PieceIndex, piece: usize, splits: &[(usize, Value)]) -> usize {
+        idx.split_grouped_with_sums(&[(piece, splits.to_vec(), None)])
+    }
+
+    /// A sum-less single split; `true` if it created a piece.
+    fn split(idx: &mut PieceIndex, piece: usize, pos: usize, pivot: Value) -> bool {
+        split_multi(idx, piece, &[(pos, pivot)]) == 1
+    }
+
     #[test]
     fn new_index_single_unbounded_piece() {
         let idx = PieceIndex::new(10);
@@ -560,7 +574,7 @@ mod tests {
     fn split_creates_pieces_with_bounds() {
         // data conceptually cracked at 50: [10, 20, 30 | 60, 70]
         let mut idx = PieceIndex::new(5);
-        assert!(idx.split(0, 3, 50));
+        assert!(split(&mut idx, 0, 3, 50));
         assert_eq!(idx.piece_count(), 2);
         let p0 = idx.piece(0);
         let p1 = idx.piece(1);
@@ -574,25 +588,25 @@ mod tests {
     fn split_at_edges_tightens_bounds_without_new_piece() {
         let mut idx = PieceIndex::new(4);
         // Everything >= 5: split position == start
-        assert!(!idx.split(0, 0, 5));
+        assert!(!split(&mut idx, 0, 0, 5));
         assert_eq!(idx.piece_count(), 1);
         assert_eq!(idx.piece(0).lo, Some(5));
         // Everything < 100: split position == end
-        assert!(!idx.split(0, 4, 100));
+        assert!(!split(&mut idx, 0, 4, 100));
         assert_eq!(idx.piece_count(), 1);
         assert_eq!(idx.piece(0).hi, Some(100));
         // Bounds only ever tighten.
-        assert!(!idx.split(0, 0, 3));
+        assert!(!split(&mut idx, 0, 0, 3));
         assert_eq!(idx.piece(0).lo, Some(5));
-        assert!(!idx.split(0, 4, 200));
+        assert!(!split(&mut idx, 0, 4, 200));
         assert_eq!(idx.piece(0).hi, Some(100));
     }
 
     #[test]
     fn find_piece_for_value_uses_bounds() {
         let mut idx = PieceIndex::new(10);
-        idx.split(0, 4, 100);
-        idx.split(1, 7, 200);
+        split(&mut idx, 0, 4, 100);
+        split(&mut idx, 1, 7, 200);
         // pieces: [0,4) <100, [4,7) [100,200), [7,10) >=200
         assert_eq!(idx.find_piece_for_value(50), Some(0));
         assert_eq!(idx.find_piece_for_value(100), Some(1));
@@ -605,7 +619,7 @@ mod tests {
     #[test]
     fn find_piece_for_position_walks_extents() {
         let mut idx = PieceIndex::new(10);
-        idx.split(0, 4, 100);
+        split(&mut idx, 0, 4, 100);
         assert_eq!(idx.find_piece_for_position(0), Some(0));
         assert_eq!(idx.find_piece_for_position(3), Some(0));
         assert_eq!(idx.find_piece_for_position(4), Some(1));
@@ -617,13 +631,13 @@ mod tests {
     fn resolved_boundary_detects_known_pivots() {
         let mut idx = PieceIndex::new(10);
         assert_eq!(idx.resolved_boundary(100), None);
-        idx.split(0, 4, 100);
+        split(&mut idx, 0, 4, 100);
         assert_eq!(idx.resolved_boundary(100), Some(4));
         assert_eq!(idx.resolved_boundary(50), None);
         // Smaller than every known bound of piece 0? piece 0 has lo None, so unknown.
         assert_eq!(idx.resolved_boundary(-5), None);
         // Beyond the last piece's known upper bound.
-        idx.split(1, 10, 500);
+        split(&mut idx, 1, 10, 500);
         assert_eq!(idx.resolved_boundary(600), Some(10));
     }
 
@@ -637,7 +651,7 @@ mod tests {
             pieces: vec![p],
             len: 6,
         };
-        idx.split(0, 3, 10);
+        split(&mut idx, 0, 3, 10);
         assert!(idx.piece(0).sorted);
         assert!(idx.piece(1).sorted);
     }
@@ -645,7 +659,7 @@ mod tests {
     #[test]
     fn grow_and_shrink_adjust_extents() {
         let mut idx = PieceIndex::new(5);
-        idx.split(0, 2, 10);
+        split(&mut idx, 0, 2, 10);
         idx.grow(3);
         assert_eq!(idx.len(), 8);
         assert_eq!(idx.piece(idx.piece_count() - 1).end, 8);
@@ -670,7 +684,7 @@ mod tests {
     #[test]
     fn validate_rejects_inconsistent_indexes() {
         let mut idx = PieceIndex::new(5);
-        idx.split(0, 3, 50);
+        split(&mut idx, 0, 3, 50);
         let data_ok = vec![10, 20, 30, 60, 70];
         let data_bad = vec![10, 20, 99, 60, 70];
         assert!(idx.validate(&data_ok));
@@ -682,8 +696,8 @@ mod tests {
     #[should_panic(expected = "outside piece")]
     fn split_outside_piece_panics() {
         let mut idx = PieceIndex::new(5);
-        idx.split(0, 3, 50);
-        idx.split(0, 4, 20);
+        split(&mut idx, 0, 3, 50);
+        split(&mut idx, 0, 4, 20);
     }
 
     #[test]
@@ -692,12 +706,12 @@ mod tests {
         let data = vec![10, 20, 30, 60, 70, 90];
         let splits = [(2usize, 25i64), (3, 50), (5, 80)];
         let mut batched = PieceIndex::new(6);
-        assert_eq!(batched.split_multi(0, &splits), 3);
+        assert_eq!(split_multi(&mut batched, 0, &splits), 3);
         let mut sequential = PieceIndex::new(6);
         // Sequential application must target the piece holding each value.
         for &(pos, pivot) in &splits {
             let i = sequential.find_piece_for_value(pivot).unwrap();
-            sequential.split(i, pos, pivot);
+            split(&mut sequential, i, pos, pivot);
         }
         assert_eq!(batched, sequential);
         assert!(batched.validate(&data));
@@ -708,13 +722,13 @@ mod tests {
     fn split_multi_edge_splits_tighten_bounds() {
         // All values >= 5 and < 100: both splits land on the edges.
         let mut idx = PieceIndex::new(4);
-        assert_eq!(idx.split_multi(0, &[(0, 5), (4, 100)]), 0);
+        assert_eq!(split_multi(&mut idx, 0, &[(0, 5), (4, 100)]), 0);
         assert_eq!(idx.piece_count(), 1);
         assert_eq!(idx.piece(0).lo, Some(5));
         assert_eq!(idx.piece(0).hi, Some(100));
         // Bounds only ever tighten; with increasing pivots at the end, the
         // smallest end-pivot wins.
-        assert_eq!(idx.split_multi(0, &[(0, 3), (4, 60), (4, 200)]), 0);
+        assert_eq!(split_multi(&mut idx, 0, &[(0, 3), (4, 60), (4, 200)]), 0);
         assert_eq!(idx.piece(0).lo, Some(5));
         assert_eq!(idx.piece(0).hi, Some(60));
     }
@@ -725,7 +739,7 @@ mod tests {
         // resolve to position 2 — one piece boundary, tightest lo bound.
         let data = vec![10, 20, 60, 70];
         let mut idx = PieceIndex::new(4);
-        assert_eq!(idx.split_multi(0, &[(2, 30), (2, 50)]), 1);
+        assert_eq!(split_multi(&mut idx, 0, &[(2, 30), (2, 50)]), 1);
         assert_eq!(idx.piece_count(), 2);
         assert_eq!(idx.piece(0).hi, Some(30));
         assert_eq!(idx.piece(1).lo, Some(50));
@@ -735,14 +749,14 @@ mod tests {
     #[test]
     fn split_multi_empty_is_noop() {
         let mut idx = PieceIndex::new(5);
-        assert_eq!(idx.split_multi(0, &[]), 0);
+        assert_eq!(split_multi(&mut idx, 0, &[]), 0);
         assert_eq!(idx.piece_count(), 1);
     }
 
     #[test]
     fn split_multi_preserves_sorted_flag() {
         let mut idx = PieceIndex::new_sorted(6);
-        assert_eq!(idx.split_multi(0, &[(2, 10), (4, 20)]), 2);
+        assert_eq!(split_multi(&mut idx, 0, &[(2, 10), (4, 20)]), 2);
         assert!(idx.pieces().iter().all(|p| p.sorted));
     }
 
@@ -750,7 +764,7 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn split_multi_rejects_unordered_pivots() {
         let mut idx = PieceIndex::new(5);
-        idx.split_multi(0, &[(1, 50), (2, 40)]);
+        split_multi(&mut idx, 0, &[(1, 50), (2, 40)]);
     }
 
     #[test]
@@ -764,7 +778,7 @@ mod tests {
         assert!(idx.validate(&data));
         // A plain split leaves the new pieces' sums unknown.
         let mut plain = PieceIndex::new(5);
-        plain.split(0, 3, 50);
+        split(&mut plain, 0, 3, 50);
         assert_eq!(plain.piece(0).sum, None);
         assert_eq!(plain.piece(1).sum, None);
     }
@@ -814,10 +828,10 @@ mod tests {
         idx.split_multi_with_sums(0, &[(0, 5)], Some(&[0, 100]));
         assert_eq!(idx.piece(0).sum, Some(100));
         // A later sum-less tightening must not drop the trusted cache.
-        assert!(!idx.split(0, 4, 200));
+        assert!(!split(&mut idx, 0, 4, 200));
         assert_eq!(idx.piece(0).sum, Some(100));
         // But a sum-less *interior* split invalidates (contents unknown).
-        assert!(idx.split(0, 2, 25));
+        assert!(split(&mut idx, 0, 2, 25));
         assert_eq!(idx.piece(0).sum, None);
         assert_eq!(idx.piece(1).sum, None);
         assert!(idx.validate(&data));
@@ -839,6 +853,130 @@ mod tests {
         assert!(idx.validate(&data));
     }
 
+    /// The four pieces `[0,2) <25`, `[2,4) [25,45)`, `[4,6) [45,65)` and
+    /// `[6,8) >=65` over `[10, 20, .., 80]`, without cached sums.
+    fn four_pieces() -> (PieceIndex, Vec<Value>) {
+        let data = vec![10, 20, 30, 40, 50, 60, 70, 80];
+        let mut idx = PieceIndex::new(8);
+        split(&mut idx, 0, 2, 25);
+        split(&mut idx, 1, 4, 45);
+        split(&mut idx, 2, 6, 65);
+        assert_eq!(idx.piece_count(), 4);
+        (idx, data)
+    }
+
+    /// `(start, end, lo, hi, sum)` of every piece.
+    type Shape = (usize, usize, Option<Value>, Option<Value>, Option<i128>);
+
+    fn shape(idx: &PieceIndex) -> Vec<Shape> {
+        idx.pieces()
+            .iter()
+            .map(|p| (p.start, p.end, p.lo, p.hi, p.sum))
+            .collect()
+    }
+
+    #[test]
+    fn grouped_edit_splits_the_first_and_the_last_piece() {
+        let (mut idx, data) = four_pieces();
+        let created = idx.split_grouped_with_sums(&[
+            (0, vec![(1, 15)], Some(vec![10, 20])),
+            (3, vec![(7, 75)], Some(vec![70, 80])),
+        ]);
+        assert_eq!(created, 2);
+        assert_eq!(
+            shape(&idx),
+            vec![
+                (0, 1, None, Some(15), Some(10)),
+                (1, 2, Some(15), Some(25), Some(20)),
+                (2, 4, Some(25), Some(45), None),
+                (4, 6, Some(45), Some(65), None),
+                (6, 7, Some(65), Some(75), Some(70)),
+                (7, 8, Some(75), None, Some(80)),
+            ]
+        );
+        assert!(idx.validate(&data));
+    }
+
+    #[test]
+    fn grouped_edit_mixes_tightening_and_creating_groups() {
+        let (mut idx, data) = four_pieces();
+        let created = idx.split_grouped_with_sums(&[
+            // Tightens piece 0's lower bound only.
+            (0, vec![(0, 5)], None),
+            (1, vec![(3, 35)], Some(vec![30, 40])),
+            // Tightens piece 2's upper bound only.
+            (2, vec![(6, 64)], None),
+            (3, vec![(7, 75)], Some(vec![70, 80])),
+        ]);
+        assert_eq!(created, 2);
+        assert_eq!(
+            shape(&idx),
+            vec![
+                (0, 2, Some(5), Some(25), None),
+                (2, 3, Some(25), Some(35), Some(30)),
+                (3, 4, Some(35), Some(45), Some(40)),
+                (4, 6, Some(45), Some(64), None),
+                (6, 7, Some(65), Some(75), Some(70)),
+                (7, 8, Some(75), None, Some(80)),
+            ]
+        );
+        assert!(idx.validate(&data));
+        // Tightening-only groups create nothing and move nothing.
+        let before = shape(&idx);
+        assert_eq!(
+            idx.split_grouped_with_sums(&[(0, vec![(2, 25)], None), (5, vec![(7, 75)], None)]),
+            0
+        );
+        assert_eq!(shape(&idx), before);
+    }
+
+    #[test]
+    fn grouped_edit_hands_a_sorted_prefix_to_every_child() {
+        use holistic_storage::PrefixSums;
+        use std::sync::Arc;
+
+        // An unsorted piece [0,3) and a sorted piece [3,6) carrying a
+        // prefix array; both are split in one edit.
+        let data = vec![10, 20, 30, 60, 70, 90];
+        let prefix = Arc::new(PrefixSums::build(3, &data[3..]));
+        let pieces = vec![
+            Piece {
+                hi: Some(50),
+                prefix: Some(Arc::clone(&prefix)),
+                ..Piece::unbounded(0, 3)
+            },
+            Piece {
+                lo: Some(50),
+                sorted: true,
+                prefix: Some(Arc::clone(&prefix)),
+                ..Piece::unbounded(3, 6)
+            },
+        ];
+        let mut idx = PieceIndex::from_parts(6, pieces).expect("contiguous");
+        let created = idx.split_grouped_with_sums(&[
+            (0, vec![(1, 15)], Some(vec![10, 50])),
+            (1, vec![(4, 65), (5, 80)], Some(vec![60, 70, 90])),
+        ]);
+        assert_eq!(created, 3);
+        assert_eq!(idx.piece_count(), 5);
+        let (unsorted, sorted) = idx.pieces().split_at(2);
+        assert!(unsorted.iter().all(|p| !p.sorted && p.prefix.is_none()));
+        for p in sorted {
+            assert!(p.sorted);
+            let shared = p.prefix.as_ref().expect("inherited");
+            assert!(Arc::ptr_eq(shared, &prefix));
+            assert!(p.covering_prefix().is_some());
+        }
+        assert!(idx.validate(&data));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn grouped_edit_rejects_an_index_past_the_table() {
+        let (mut idx, _) = four_pieces();
+        idx.split_grouped_with_sums(&[(4, vec![(8, 90)], None)]);
+    }
+
     #[test]
     fn sorted_splits_share_the_prefix_and_unsorted_splits_drop_it() {
         use holistic_storage::PrefixSums;
@@ -848,7 +986,7 @@ mod tests {
         let mut idx = PieceIndex::new_sorted(6);
         let prefix = Arc::new(PrefixSums::build(0, &data));
         idx.pieces_mut()[0].prefix = Some(Arc::clone(&prefix));
-        idx.split_multi(0, &[(3, 50), (5, 80)]);
+        split_multi(&mut idx, 0, &[(3, 50), (5, 80)]);
         assert_eq!(idx.piece_count(), 3);
         for (i, p) in idx.pieces().iter().enumerate() {
             assert!(p.sorted, "piece {i}");
@@ -862,7 +1000,7 @@ mod tests {
         // permuted by the kernel pass that produced the splits).
         let mut unsorted = PieceIndex::new(6);
         unsorted.pieces_mut()[0].prefix = Some(Arc::clone(&prefix));
-        unsorted.split(0, 3, 50);
+        split(&mut unsorted, 0, 3, 50);
         assert!(unsorted.pieces().iter().all(|p| p.prefix.is_none()));
     }
 

@@ -17,10 +17,14 @@
 //! * [`kernels`] — the in-place partitioning kernels: three sum-fused
 //!   sweeps (`crack_in_two`, `crack_in_three`, `crack_in_k`), each generic
 //!   over its row-id payload and its branchy or predicated form.
-//! * [`piece`] / [`index`] — pieces and the cracker (piece) index.
+//! * [`piece`] / [`index`] — pieces and the cracker (piece) index, whose
+//!   splits are all recorded by one in-place edit
+//!   ([`PieceIndex::split_grouped_with_sums`]).
 //! * [`cracker`] — [`CrackerColumn`]: the query-facing cracked copy of a
 //!   base column, including *random refinement actions* (the building block
-//!   of the paper's idle-time tuning).
+//!   of the paper's idle-time tuning). Its select is batched
+//!   ([`CrackerColumn::crack_select_batch`]); a single select is a batch of
+//!   one.
 //! * [`stochastic`] — stochastic cracking variants (DDC, DDR, MDD1R) for
 //!   robustness against adversarial (e.g. sequential) workloads.
 //! * [`updates`] — cracking under updates: pending insert/delete buffers
@@ -30,7 +34,7 @@
 //!   own piece table behind its own reader/writer latch, so queries fan
 //!   out and compose per-shard aggregates while writers crack disjoint
 //!   shards in parallel (an unsharded column is the one-shard case of the
-//!   same code).
+//!   same code, and a single select is a batch of one).
 //! * [`persist`] — snapshot encode/decode of the learned cracking state,
 //!   with full validation of every recovered piece.
 

@@ -80,8 +80,9 @@ impl CrackPolicy {
 }
 
 /// Answers the range select `[lo, hi)` on `column` using the given cracking
-/// policy. Returns the contiguous position range of qualifying values, just
-/// like [`CrackerColumn::crack_select`].
+/// policy: a batch of one ([`crack_select_batch_with_policy`]). Returns the
+/// contiguous position range of qualifying values, just like
+/// [`CrackerColumn::crack_select`].
 pub fn crack_select_with_policy<R: Rng + ?Sized>(
     column: &mut CrackerColumn,
     lo: Value,
@@ -89,46 +90,20 @@ pub fn crack_select_with_policy<R: Rng + ?Sized>(
     policy: CrackPolicy,
     rng: &mut R,
 ) -> std::ops::Range<usize> {
-    if hi <= lo || column.is_empty() {
-        return 0..0;
-    }
-    match policy {
-        CrackPolicy::Standard => column.crack_select(lo, hi),
-        CrackPolicy::Ddc { threshold } => {
-            pre_split(column, lo, threshold.max(1), rng, false);
-            pre_split(column, hi, threshold.max(1), rng, false);
-            column.crack_select(lo, hi)
-        }
-        CrackPolicy::Ddr { threshold } => {
-            pre_split(column, lo, threshold.max(1), rng, true);
-            pre_split(column, hi, threshold.max(1), rng, true);
-            column.crack_select(lo, hi)
-        }
-        CrackPolicy::Mdd1r => {
-            let touched_lo = piece_extent_for_value(column, lo);
-            let touched_hi = piece_extent_for_value(column, hi);
-            let range = column.crack_select(lo, hi);
-            // One random split inside each originally touched piece.
-            for extent in [touched_lo, touched_hi].into_iter().flatten() {
-                let (plo, phi) = extent;
-                if phi > plo {
-                    column.random_crack_in_range(plo, phi, rng);
-                }
-            }
-            range
-        }
-    }
+    crack_select_batch_with_policy(column, &[(lo, hi)], policy, rng)
+        .pop()
+        .unwrap_or_default()
 }
 
-/// Answers a batch of range selects under the given cracking policy — the
-/// batched counterpart of [`crack_select_with_policy`], built on
-/// [`CrackerColumn::crack_select_batch`]'s multi-pivot pass.
+/// Answers a batch of range selects under the given cracking policy, built
+/// on [`CrackerColumn::crack_select_batch`]'s multi-pivot pass.
 ///
-/// Policy semantics mirror the sequential path: DDC/DDR run their
-/// divide-and-conquer pre-splits around every deduplicated bound before the
-/// exact batch pass, and MDD1R adds one random split inside each piece the
-/// batch's bounds originally touched, after the exact pass. Answers are
-/// always exactly the qualifying ranges, whatever the policy.
+/// DDC/DDR run their divide-and-conquer pre-splits around every
+/// deduplicated bound (in ascending order) before the exact batch pass, and
+/// MDD1R adds one random split inside each distinct piece the batch's
+/// bounds originally touched, after the exact pass — a piece holding both
+/// bounds of a query is split once, not twice. Answers are always exactly
+/// the qualifying ranges, whatever the policy.
 pub fn crack_select_batch_with_policy<R: Rng + ?Sized>(
     column: &mut CrackerColumn,
     bounds: &[(Value, Value)],
@@ -322,6 +297,21 @@ mod tests {
         // most 2 more (one per touched piece).
         assert!(c.piece_count() <= 5, "got {} pieces", c.piece_count());
         assert!(c.piece_count() >= 3);
+    }
+
+    #[test]
+    fn mdd1r_splits_a_piece_holding_both_bounds_once() {
+        // Both bounds of the first query fall into the column's single
+        // piece: one three-way pass resolves them, then MDD1R adds exactly
+        // one auxiliary random crack to that piece — not one per bound.
+        let mut c = CrackerColumn::from_values(data());
+        let mut rng = StdRng::seed_from_u64(11);
+        let r = crack_select_with_policy(&mut c, 1000, 1041, CrackPolicy::Mdd1r, &mut rng);
+        assert_eq!(r.len(), 41);
+        assert_eq!(c.kernel_dispatches().total(), 2, "exact pass + one aux");
+        assert_eq!(c.cracks_performed(), 2);
+        assert_eq!(c.piece_count(), 4);
+        assert!(c.validate());
     }
 
     #[test]

@@ -9,16 +9,21 @@
 //! * the multi-pivot kernels agree with repeated two-way cracks in both
 //!   physical forms, with row ids staying aligned;
 //! * stochastic policies keep scan-equivalent answers through the batched
-//!   concurrent path.
+//!   concurrent path;
+//! * the in-place grouped piece-table edit produces exactly the table an
+//!   `O(P + k)` rebuild of the same groups produces.
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use holistic_cracking::stochastic::crack_select_batch_with_policy;
 use holistic_cracking::{
-    crack_in_k, crack_in_two, ConcurrentCrackerColumn, CrackPolicy, CrackerColumn,
+    crack_in_k, crack_in_two, ConcurrentCrackerColumn, CrackPolicy, CrackerColumn, Piece,
+    PieceIndex, PrefixSums, SplitGroup,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn scan_count(values: &[i64], lo: i64, hi: i64) -> u64 {
     values.iter().filter(|&&v| v >= lo && v < hi).count() as u64
@@ -52,8 +57,111 @@ prop_compose! {
     }
 }
 
+/// A random piece table of `pieces` pieces (1..6 positions each) with
+/// random known/unknown bounds, sorted flags, cached sums and prefix arrays,
+/// plus random ascending split groups over it: each group holds 1..4 splits
+/// at non-decreasing positions inside its piece (edges included, so some
+/// groups only tighten bounds) with strictly increasing pivots, and kernel
+/// sums or none. The edit checks only these structural preconditions, so
+/// no data array is needed.
+fn random_table_and_groups(pieces: usize, seed: u64) -> (PieceIndex, Vec<SplitGroup>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut table = Vec::with_capacity(pieces);
+    let mut start = 0;
+    for i in 0..pieces {
+        let end = start + rng.gen_range(1..6usize);
+        let sorted = rng.gen_bool(0.3);
+        table.push(Piece {
+            start,
+            end,
+            lo: (i > 0 && rng.gen_bool(0.8)).then_some(100 * i as i64),
+            hi: (i + 1 < pieces && rng.gen_bool(0.8)).then_some(100 * (i as i64 + 1)),
+            sorted,
+            sum: rng
+                .gen_bool(0.5)
+                .then(|| i128::from(rng.gen_range(-500i64..500))),
+            prefix: (sorted && rng.gen_bool(0.5))
+                .then(|| Arc::new(PrefixSums::build(start, &vec![1; end - start]))),
+        });
+        start = end;
+    }
+    let index = PieceIndex::from_parts(start, table).expect("contiguous table");
+    let mut groups = Vec::new();
+    for idx in 0..pieces {
+        if !rng.gen_bool(0.4) {
+            continue;
+        }
+        let p = index.piece(idx);
+        let k = rng.gen_range(1..5usize);
+        let mut positions: Vec<usize> = (0..k).map(|_| rng.gen_range(p.start..=p.end)).collect();
+        positions.sort_unstable();
+        let splits = positions
+            .into_iter()
+            .enumerate()
+            .map(|(j, pos)| (pos, 100 * idx as i64 + 10 * j as i64 + 5))
+            .collect();
+        let sums = rng.gen_bool(0.7).then(|| {
+            (0..=k)
+                .map(|_| i128::from(rng.gen_range(-100i64..100)))
+                .collect()
+        });
+        groups.push((idx, splits, sums));
+    }
+    (index, groups)
+}
+
+/// The piece-table edit as an `O(P + k)` rebuild: every untouched piece is
+/// cloned into a fresh table, and each group's piece is replaced by its
+/// expansion — computed by a one-group edit of that piece alone, rebased
+/// to position 0 so a one-piece table can hold it.
+fn rebuild_reference(pieces: &[Piece], groups: &[SplitGroup]) -> Vec<Piece> {
+    let mut rebuilt = Vec::with_capacity(pieces.len());
+    let mut next_group = groups.iter().peekable();
+    for (idx, p) in pieces.iter().enumerate() {
+        match next_group.peek() {
+            Some((group_idx, splits, seg_sums)) if *group_idx == idx => {
+                let alone = Piece {
+                    start: 0,
+                    end: p.len(),
+                    ..p.clone()
+                };
+                let mut one = PieceIndex::from_parts(p.len(), vec![alone]).expect("one piece");
+                let rebased: Vec<(usize, i64)> =
+                    splits.iter().map(|&(pos, v)| (pos - p.start, v)).collect();
+                one.split_multi_with_sums(0, &rebased, seg_sums.as_deref());
+                rebuilt.extend(one.pieces().iter().map(|q| Piece {
+                    start: q.start + p.start,
+                    end: q.end + p.start,
+                    ..q.clone()
+                }));
+                next_group.next();
+            }
+            _ => rebuilt.push(p.clone()),
+        }
+    }
+    rebuilt
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn in_place_grouped_edit_equals_the_rebuild(
+        pieces in 1usize..48,
+        seed in any::<u64>(),
+    ) {
+        let (mut index, groups) = random_table_and_groups(pieces, seed);
+        let expected = rebuild_reference(index.pieces(), &groups);
+        let created = index.split_grouped_with_sums(&groups);
+        prop_assert_eq!(created, expected.len() - pieces);
+        prop_assert_eq!(index.pieces(), &expected[..]);
+        // Pieces that share a prefix array keep sharing the very same one.
+        for (got, want) in index.pieces().iter().zip(&expected) {
+            if let (Some(a), Some(b)) = (&got.prefix, &want.prefix) {
+                prop_assert!(Arc::ptr_eq(a, b));
+            }
+        }
+    }
 
     #[test]
     fn batch_select_is_equivalent_to_sequential_replay(
